@@ -27,7 +27,6 @@ from .model import (
     ModelParams,
     VARIANTS,
     init_params,
-    make_ablation,
     stpool,
     forward,
     loss,
@@ -35,6 +34,6 @@ from .model import (
     load_checkpoint,
 )
 from .data import SyntheticTask, generate, read_tensor, write_tensor
-from .train import TrainConfig, TrainReport, fit, evaluate, sgd_step
+from .train import TrainConfig, TrainReport, fit, evaluate
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from . import tensor as T
 from .tensor import Tensor
 
@@ -33,29 +33,21 @@ def init_temporal_attention(feat_dim: int, rng: np.random.Generator) -> Temporal
     return TemporalAttention(proj=w, feat_dim=feat_dim)
 
 
-def temporal_weights(pairs, attn: TemporalAttention) -> Tensor:
-    """Attention weights over frame-pair features; non-negative, summing to 1.
+def temporal_weights(pairs: Tensor, attn: TemporalAttention) -> Tensor:
+    """Attention weights over frame pairs; each row non-negative, summing to 1.
 
-    Each (C, H, W) pair feature is spatially average-pooled to a C-vector,
-    projected to a scalar logit, squashed by sigmoid, then normalized by a
-    softmax across pairs.
+    Pair features (B, t-1, C, H, W) are spatially averaged to C-vectors,
+    projected to one logit each, squashed by sigmoid, then normalized by a
+    softmax across the pairs of each video: alpha has shape (B, t-1).
     """
-    pairs = list(pairs)
-    if not pairs:
-        raise ConfigError("temporal_weights: empty pair list")
-    pooled = []
-    for p in pairs:
-        if p.data.ndim != 3:
-            raise ShapeError(f"temporal_weights: pair feature has shape {p.data.shape}")
-        c, h, w = p.data.shape
-        if c != attn.feat_dim:
-            raise ShapeError(
-                f"temporal_weights: feature dim {c} != attention dim {attn.feat_dim}"
-            )
-        v = T.avg_pool(T.reshape(p, (1, c, h, w)), (1, h, w), (1, 1, 1))
-        pooled.append(T.reshape(v, (c,)))
-    mat = T.stack(pooled)                       # (t-1, C)
-    logits = T.reshape(T.matmul(mat, attn.proj), (len(pairs),))
+    if pairs.data.ndim != 5 or pairs.data.shape[2] != attn.feat_dim:
+        raise ShapeError(
+            f"temporal_weights: pair features {pairs.data.shape} are not "
+            f"(B, t-1, {attn.feat_dim}, H, W)"
+        )
+    b, p = pairs.data.shape[:2]
+    pooled = T.reshape(T.mean(pairs, (3, 4)), (b * p, attn.feat_dim))
+    logits = T.reshape(T.matmul(pooled, attn.proj), (b, p))
     return T.softmax(T.sigmoid(logits))
 
 
@@ -65,34 +57,34 @@ class PairFusionWeights:
 
     Effective weights are softmax over (sigmoid(raw_a), sigmoid(raw_b)); the
     sigmoid bounds the softmax logit gap, so each weight lies in roughly
-    (0.269, 0.731). ``site`` labels which fusion this instance serves.
+    (0.269, 0.731).
     """
 
     raw_a: Tensor
     raw_b: Tensor
-    site: str = "pair-fusion"
 
 
-def init_pair_fusion(site: str = "pair-fusion") -> PairFusionWeights:
+def init_pair_fusion() -> PairFusionWeights:
     # Zero raw scalars give the neutral 0.5/0.5 split.
     return PairFusionWeights(
         raw_a=Tensor(np.zeros(()), requires_grad=True),
         raw_b=Tensor(np.zeros(()), requires_grad=True),
-        site=site,
     )
 
 
 def effective_weights(w: PairFusionWeights):
-    """The normalized (w_a, w_b) pair as scalar tensors."""
-    logits = T.stack([T.sigmoid(w.raw_a), T.sigmoid(w.raw_b)])
-    probs = T.softmax(logits)
-    return T.take(probs, 0), T.take(probs, 1)
+    """The normalized (w_a, w_b) pair as scalar tensors.
+
+    A two-way softmax is a sigmoid of the logit gap: softmax(a, b)[0] = sigmoid(a - b).
+    """
+    sa, sb = T.sigmoid(w.raw_a), T.sigmoid(w.raw_b)
+    return T.sigmoid(T.sub(sa, sb)), T.sigmoid(T.sub(sb, sa))
 
 
 def fuse_pair(a: Tensor, b: Tensor, w: PairFusionWeights) -> Tensor:
     """Weighted channel concatenation: concat(w_a * a, w_b * b).
 
-    Accepts rank-4 feature maps (channel-axis concat) or rank-1 vectors.
+    Accepts feature maps (..., C, H, W) or rows of vectors (N, C).
     """
     wa, wb = effective_weights(w)
     return T.concat_channels(T.scale(a, wa), T.scale(b, wb))

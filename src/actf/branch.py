@@ -2,11 +2,11 @@
 attention, pairwise mean features, attentive fusion, and the reduction to a
 C_out-length video vector.
 
-Shapes, with F of shape (t, C_out, H, W) and sketch dimension d:
-    bilinear correlation B : (t-1, d, H, W)
-    pairwise mean        L : (t-1, C_out, H, W)
-    fused                H : (t-1, d + C_out, H, W)
-    output          v_actf : (C_out,)
+Shapes, batch-first, with F of shape (B, t, C_out, H, W) and sketch dimension d:
+    bilinear correlation B : (B, t-1, d, H, W)
+    pairwise mean        L : (B, t-1, C_out, H, W)
+    fused                H : (B, t-1, d + C_out, H, W)
+    output          v_actf : (B, C_out)
 """
 
 from __future__ import annotations
@@ -29,48 +29,47 @@ from .attention import (
 
 @dataclass
 class LowLevelFeature:
-    """Backbone output with axes (time, channels, height, width); t >= 2."""
+    """Backbone output with axes (batch, time, channels, height, width); t >= 2.
+
+    A rank-4 (time, channels, height, width) tensor is one video: it enters
+    the branch as a batch of one, and ``extract_actf`` returns a (C_out,) vector.
+    """
 
     tensor: Tensor
 
     def __post_init__(self):
-        if self.tensor.data.ndim != 4:
-            raise ShapeError(f"LowLevelFeature must be rank 4, got {self.tensor.data.shape}")
-        if self.tensor.data.shape[0] < 2:
+        if self.tensor.data.ndim not in (4, 5):
+            raise ShapeError(f"LowLevelFeature must be rank 4 or 5, got {self.tensor.data.shape}")
+        if self.frames < 2:
             raise InputError("LowLevelFeature needs at least 2 frames (one frame pair)")
 
     @property
+    def unbatched(self) -> bool:
+        return self.tensor.data.ndim == 4
+
+    @property
+    def batch(self) -> Tensor:
+        """The feature as a (B, t, C, H, W) batch."""
+        x = self.tensor
+        return T.reshape(x, (1,) + x.data.shape) if self.unbatched else x
+
+    @property
     def frames(self) -> int:
-        return self.tensor.data.shape[0]
+        return self.tensor.data.shape[-4]
 
     @property
     def channels(self) -> int:
-        return self.tensor.data.shape[1]
+        return self.tensor.data.shape[-3]
 
     @property
     def spatial(self) -> tuple:
-        return self.tensor.data.shape[2:4]
-
-
-@dataclass
-class IccfFeature:
-    """Attention-weighted bilinear correlation: b[i] already scaled by alpha[i]."""
-
-    b: Tensor
-    alpha: Tensor
-
-
-@dataclass
-class ImfFeature:
-    """Pairwise temporal mean of consecutive frames."""
-
-    l: Tensor
+        return self.tensor.data.shape[-2:]
 
 
 @dataclass
 class ReductionNetwork:
-    """Three linear layers (ReLU after the first two) mapping the pooled
-    fused feature down to a C_out-length vector."""
+    """Three linear layers (ReLU after the first two) mapping pooled fused
+    features (B, C) down to (B, C_out)."""
 
     w1: Tensor
     b1: Tensor
@@ -80,11 +79,9 @@ class ReductionNetwork:
     b3: Tensor
 
     def apply(self, v: Tensor) -> Tensor:
-        x = T.reshape(v, (1, v.data.shape[0]))
-        x = T.relu(T.add(T.matmul(x, self.w1), self.b1))
-        x = T.relu(T.add(T.matmul(x, self.w2), self.b2))
-        x = T.add(T.matmul(x, self.w3), self.b3)
-        return T.reshape(x, (x.data.shape[1],))
+        x = T.relu(T.linear(v, self.w1, self.b1))
+        x = T.relu(T.linear(x, self.w2, self.b2))
+        return T.linear(x, self.w3, self.b3)
 
 
 def init_reduction(in_dim: int, r1: int, r2: int, out_dim: int,
@@ -109,48 +106,36 @@ class ActfParams:
     attn: TemporalAttention
     pair_fusion: PairFusionWeights
     reduction: ReductionNetwork
-    # Ablation switch: sketch only the leading frame of each pair instead of
-    # the cross-frame pair (the literal single-frame reading).
-    single_frame_sketch: bool = False
+
+
+def _frame_pairs(x: Tensor):
+    """The leading and trailing frames of every consecutive pair of x (B, t, C, H, W)."""
+    t = x.data.shape[1]
+    return T.frame_slice(x, 0, t - 1), T.frame_slice(x, 1, t)
 
 
 def extract_iccf(F: LowLevelFeature, plan: SketchPlan, attn: TemporalAttention,
-                 attend: bool = True, single_frame: bool = False) -> IccfFeature:
-    """Per-pair compact bilinear correlation, weighted by temporal attention.
-
-    With ``attend`` off every pair gets weight 1 (direct concatenation, no
-    normalization) and alpha is a constant vector of ones.
-    """
+                 attend: bool = True) -> Tensor:
+    """Per-pair compact bilinear correlation (B, t-1, d, H, W), each pair scaled
+    by its temporal attention weight; with ``attend`` off every weight is 1."""
     if plan.input_dim != F.channels:
         raise ConfigError(
             f"extract_iccf: plan input_dim {plan.input_dim} != feature channels {F.channels}"
         )
-    t = F.frames
-    h, w = F.spatial
-    d = plan.output_dim
-    # All t-1 pairs go through the sketch in one ((t-1)*H*W, C) batch.
-    fi = _locations_by_channels(T.frame_slice(F.tensor, 0, t - 1))
-    fj = fi if single_frame else _locations_by_channels(T.frame_slice(F.tensor, 1, t))
-    cb = compact_bilinear(fi, fj, plan)                         # ((t-1)*H*W, d)
-    b = T.transpose(T.reshape(cb, (t - 1, h, w, d)), (0, 3, 1, 2))
-    if attend:
-        alpha = temporal_weights([T.frame(b, i) for i in range(t - 1)], attn)
-        return IccfFeature(b=T.scale_frames(b, alpha), alpha=alpha)
-    return IccfFeature(b=b, alpha=Tensor(np.ones(t - 1)))
+    x = F.batch
+    n, t, c, h, w = x.data.shape
+    # Every pair at every location goes through the sketch as one (B*(t-1)*H*W, C) batch.
+    rows = lambda f: T.reshape(T.transpose(f, (0, 1, 3, 4, 2)), (-1, c))
+    first, second = _frame_pairs(x)
+    cb = compact_bilinear(rows(first), rows(second), plan)
+    b = T.transpose(T.reshape(cb, (n, t - 1, h, w, plan.output_dim)), (0, 1, 4, 2, 3))
+    return T.scale_frames(b, temporal_weights(b, attn)) if attend else b
 
 
-def _locations_by_channels(f: Tensor) -> Tensor:
-    """(..., C, H, W) feature frames -> (N*H*W, C) batch of per-location vectors."""
-    if f.data.ndim == 3:
-        c, h, w = f.data.shape
-        return T.reshape(T.transpose(f, (1, 2, 0)), (h * w, c))
-    n, c, h, w = f.data.shape
-    return T.reshape(T.transpose(f, (0, 2, 3, 1)), (n * h * w, c))
-
-
-def extract_imf(F: LowLevelFeature) -> ImfFeature:
-    """Temporal average of each consecutive frame pair (kernel 2 along time)."""
-    return ImfFeature(l=T.avg_pool(F.tensor, (2, 1, 1), (1, 1, 1)))
+def extract_imf(F: LowLevelFeature) -> Tensor:
+    """Mean of each consecutive frame pair: (B, t-1, C, H, W)."""
+    first, second = _frame_pairs(F.batch)
+    return T.scale(T.add(first, second), 0.5)
 
 
 def extract_actf(F: LowLevelFeature, params: ActfParams,
@@ -161,16 +146,13 @@ def extract_actf(F: LowLevelFeature, params: ActfParams,
     only); ``attend`` off replaces every attentive concatenation with direct
     concatenation at weight 1.
     """
-    iccf = extract_iccf(F, params.plan, params.attn, attend=attend,
-                        single_frame=params.single_frame_sketch)
+    iccf = extract_iccf(F, params.plan, params.attn, attend=attend)
     imf = extract_imf(F)
     if imf_weight_zero:
-        h_cat = T.concat_channels(iccf.b, T.scale(imf.l, 0.0))
+        h_cat = T.concat_channels(iccf, T.scale(imf, 0.0))
     elif attend:
-        h_cat = fuse_pair(iccf.b, imf.l, params.pair_fusion)
+        h_cat = fuse_pair(iccf, imf, params.pair_fusion)
     else:
-        h_cat = T.concat_channels(iccf.b, imf.l)
-    p, c_concat, h, w = h_cat.data.shape
-    pooled = T.avg_pool(h_cat, (p, h, w), (1, 1, 1))
-    pooled = T.reshape(pooled, (c_concat,))
-    return params.reduction.apply(pooled)
+        h_cat = T.concat_channels(iccf, imf)
+    v = params.reduction.apply(T.mean(h_cat, (1, 3, 4)))
+    return T.reshape(v, v.data.shape[1:]) if F.unbatched else v

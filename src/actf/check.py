@@ -118,23 +118,32 @@ def run_audit(seed: int = 0) -> list:
     xr = Tensor(np.where(np.abs(x.data) < 0.1, 0.5, x.data), requires_grad=True)
     check("relu", lambda: _scalarize(T.relu(xr), w), [xr])
 
-    v = _param(rng, (6,))
-    wv = rng.standard_normal(6)
+    v = _param(rng, (2, 6))
+    wv = rng.standard_normal(12)
     check("softmax", lambda: _scalarize(T.softmax(v), wv), [v])
+    check("reshape", lambda: _scalarize(T.reshape(v, (3, 4)), wv), [v])
+    check("transpose", lambda: _scalarize(T.transpose(v, (1, 0)), wv), [v])
 
     c1 = _param(rng, (16,))
     c2 = _param(rng, (16,))
     w = rng.standard_normal(16)
     check("circular_convolve", lambda: _scalarize(T.circular_convolve(c1, c2), w), [c1, c2])
 
-    p4 = _param(rng, (3, 2, 4, 4))
-    q4 = _param(rng, (3, 5, 4, 4))
-    w = rng.standard_normal(3 * 7 * 4 * 4)
-    check("concat_channels", lambda: _scalarize(T.concat_channels(p4, q4), w), [p4, q4])
+    p5 = _param(rng, (2, 3, 2, 4, 4))
+    q5 = _param(rng, (2, 3, 5, 4, 4))
+    w = rng.standard_normal(2 * 3 * 7 * 4 * 4)
+    check("concat_channels", lambda: _scalarize(T.concat_channels(p5, q5), w), [p5, q5])
+    w = rng.standard_normal(2 * 2 * 2 * 4 * 4)
+    check("frame_slice", lambda: _scalarize(T.frame_slice(p5, 1, 3), w), [p5])
+    alpha = _param(rng, (2, 3))
+    w = rng.standard_normal(p5.data.size)
+    check("scale_frames", lambda: _scalarize(T.scale_frames(p5, alpha), w), [p5, alpha])
+    w = rng.standard_normal(2 * 2)
+    check("mean", lambda: _scalarize(T.mean(p5, (1, 3, 4)), w), [p5])
 
-    w = rng.standard_normal(2 * 2 * 3 * 3)
-    check("avg_pool",
-          lambda: _scalarize(T.avg_pool(p4, (2, 2, 2), (1, 1, 1)), w), [p4])
+    p4 = _param(rng, (3, 2, 4, 4))
+    w = rng.standard_normal(3 * 2 * 2 * 2)
+    check("avg_pool", lambda: _scalarize(T.avg_pool(p4, 2), w), [p4])
 
     xc = _param(rng, (2, 3, 5, 5))
     wc = _param(rng, (4, 3, 3, 3))
@@ -142,8 +151,14 @@ def run_audit(seed: int = 0) -> list:
     w = rng.standard_normal(2 * 4 * 5 * 5)
     check("conv2d", lambda: _scalarize(T.conv2d(xc, wc, bc), w), [xc, wc, bc])
 
-    logits = _param(rng, (5,))
-    check("cross_entropy", lambda: T.cross_entropy(logits, 2), [logits])
+    xl = _param(rng, (3, 4))
+    wl = _param(rng, (4, 2))
+    bl = _param(rng, (1, 2))
+    w = rng.standard_normal(6)
+    check("linear", lambda: _scalarize(T.linear(xl, wl, bl), w), [xl, wl, bl])
+
+    logits = _param(rng, (3, 5))
+    check("cross_entropy", lambda: T.cross_entropy(logits, [2, 0, 4]), [logits])
 
     plan = make_plan(12, 16, seed=seed + 1)
     sx = _param(rng, (12,))
@@ -156,16 +171,16 @@ def run_audit(seed: int = 0) -> list:
     check("exact_bilinear", lambda: _scalarize(exact_bilinear(sx, sy), w), [sx, sy])
 
     attn = TemporalAttention(proj=_param(rng, (6, 1)), feat_dim=6)
-    pairs = [_param(rng, (6, 2, 2)) for _ in range(3)]
-    w = rng.standard_normal(3)
+    pairs = _param(rng, (2, 3, 6, 2, 2))
+    w = rng.standard_normal(6)
     check("temporal_weights",
           lambda: _scalarize(temporal_weights(pairs, attn), w),
-          pairs + [attn.proj])
+          [pairs, attn.proj])
 
     fw = PairFusionWeights(raw_a=_param(rng, ()), raw_b=_param(rng, ()))
-    fa = _param(rng, (8,))
-    fb = _param(rng, (8,))
-    w = rng.standard_normal(16)
+    fa = _param(rng, (2, 8))
+    fb = _param(rng, (2, 8))
+    w = rng.standard_normal(32)
     check("fuse_pair",
           lambda: _scalarize(fuse_pair(fa, fb, fw), w),
           [fa, fb, fw.raw_a, fw.raw_b])
@@ -187,8 +202,8 @@ def model_audit(seed: int = 0,
     for name, t, _ in M.trainable_parameters(params):
         if t.data.size <= 4:
             t.data = np.asarray(t.data + 0.1 * rng.standard_normal(t.data.shape))
-    video = Tensor(rng.uniform(0, 1, size=(dims.frames, 3, dims.height, dims.width)))
-    label = 1
+    videos = Tensor(rng.uniform(0, 1, size=(2, dims.frames, 3, dims.height, dims.width)))
+    labels = [1, 2]
     leaves = [t for _, t, _ in M.trainable_parameters(params)]
-    err = gradient_error(lambda: M.loss(M.forward(video, params), label), leaves)
+    err = gradient_error(lambda: M.loss(M.forward(videos, params), labels), leaves)
     return CheckResult("model_end_to_end", err, MODEL_TOL)

@@ -124,6 +124,13 @@ def _train_one(cfg, variant, train_set, eval_set, dims, tcfg):
     return params, report
 
 
+def _final_accuracies(report, params, eval_set):
+    """(train_acc, eval_acc) of the last epoch; with no epochs, NaN and the initial model's."""
+    if report.epochs:
+        return report.epochs[-1].train_acc, report.epochs[-1].eval_acc
+    return float("nan"), TR.evaluate(params, eval_set)
+
+
 def cmd_train(args) -> int:
     cfg = _merge_config(args, _EXPERIMENT_DEFAULTS)
     h = _config_hash(cfg)
@@ -136,9 +143,7 @@ def cmd_train(args) -> int:
     header = f"# config_hash={h}\n# seed={cfg['seed']}\n"
     atomic_write_text(os.path.join(args.out, "train_report.tsv"),
                       header + report.to_tsv())
-    final_train = report.epochs[-1].train_acc if report.epochs else float("nan")
-    final_eval = (report.epochs[-1].eval_acc if report.epochs
-                  else TR.evaluate(params, eval_set))
+    final_train, final_eval = _final_accuracies(report, params, eval_set)
     _write_table(os.path.join(args.out, "metrics.tsv"), h, cfg["seed"],
                  ("variant", "train_acc", "eval_acc"),
                  [(cfg["variant"], float(final_train), float(final_eval))])
@@ -155,9 +160,7 @@ def cmd_ablate(args) -> int:
     rows = []
     for variant in M.VARIANTS:
         params, report = _train_one(cfg, variant, train_set, eval_set, dims, tcfg)
-        final_eval = (report.epochs[-1].eval_acc if report.epochs
-                      else TR.evaluate(params, eval_set))
-        final_train = report.epochs[-1].train_acc if report.epochs else float("nan")
+        final_train, final_eval = _final_accuracies(report, params, eval_set)
         rows.append((variant, float(final_train), float(final_eval)))
         print(f"{variant}: train_acc={final_train:.4f} eval_acc={final_eval:.4f}")
     os.makedirs(args.out, exist_ok=True)
@@ -179,38 +182,33 @@ def cmd_eval(args) -> int:
         seed = params.seed
     else:
         # Accept a full training config so the same file drives both
-        # commands, but keep only the keys evaluation actually uses.
-        cfg = {k: v for k, v in _merge_config(args, _EXPERIMENT_DEFAULTS).items()
-               if k in _EVAL_DEFAULTS}
+        # commands, and score the held-out task that `train` evaluates on.
+        full = _merge_config(args, _EXPERIMENT_DEFAULTS)
+        cfg = {k: v for k, v in full.items() if k in _EVAL_DEFAULTS}
         seed = cfg["seed"]
-        task = D.SyntheticTask(kind=cfg["task"], frames=cfg["frames"],
-                               height=cfg["height"], width=cfg["width"],
-                               per_class=cfg["eval_per_class"], noise=cfg["noise"],
-                               seed=seed)
+        _, task, _, _ = _build_experiment(full)
         if task.n_classes != d.n_classes:
             raise ConfigError(
                 f"checkpoint has {d.n_classes} classes but task {task.kind!r} "
                 f"has {task.n_classes}"
             )
         dataset = D.generate(task)
-    h = _config_hash(cfg if isinstance(cfg, dict) else {})
-    for video, _ in dataset:
-        if video.data.shape != (d.frames, d.in_channels, d.height, d.width):
-            raise ConfigError(
-                f"dataset sample shape {video.data.shape} conflicts with "
-                f"checkpoint dims ({d.frames}, {d.in_channels}, {d.height}, {d.width})"
-            )
+    h = _config_hash(cfg)
+    expected = (d.frames, d.in_channels, d.height, d.width)
+    conflicting = {video.data.shape for video, _ in dataset} - {expected}
+    if conflicting:
+        raise ConfigError(
+            f"dataset sample shapes {sorted(conflicting)} conflict with checkpoint dims {expected}"
+        )
+    videos, labels = TR.stack_dataset(dataset)
+    preds = np.argmax(TR.predict(params, videos), axis=1)
     n_classes = d.n_classes
-    per_class_n = np.zeros(n_classes, dtype=int)
-    per_class_correct = np.zeros(n_classes, dtype=int)
-    fusion_rows = []
+    per_class_n = np.bincount(labels, minlength=n_classes)
+    per_class_correct = np.bincount(labels[preds == labels], minlength=n_classes)
     wa, wb = effective_weights(params.final_fusion)
     delta, epsilon = float(wa.data), float(wb.data)
-    for i, (video, label) in enumerate(dataset):
-        pred = int(np.argmax(M.forward(video, params).data))
-        per_class_n[label] += 1
-        per_class_correct[label] += int(pred == label)
-        fusion_rows.append((i, label, pred, delta, epsilon))
+    fusion_rows = [(i, int(y), int(p), delta, epsilon)
+                   for i, (y, p) in enumerate(zip(labels, preds))]
     os.makedirs(args.out, exist_ok=True)
     acc_rows = [
         (c, int(per_class_n[c]), int(per_class_correct[c]),

@@ -10,7 +10,7 @@ branch. Ablation variants disable individual stages to isolate its effect.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,19 +80,20 @@ class ModelDims:
 
 @dataclass
 class Backbone:
-    """Two 3x3 same-padded conv layers with a stride-2 mean pool after each."""
+    """Two 3x3 same-padded conv layers with a stride-2 mean pool after each,
+    run on all B*t frames of a (B, t, C, H, W) batch at once."""
 
     w1: Tensor
     b1: Tensor
     w2: Tensor
     b2: Tensor
 
-    def apply(self, video: Tensor) -> LowLevelFeature:
-        x = T.relu(T.conv2d(video, self.w1, self.b1))
-        x = T.avg_pool(x, (1, 2, 2), (1, 2, 2))
-        x = T.relu(T.conv2d(x, self.w2, self.b2))
-        x = T.avg_pool(x, (1, 2, 2), (1, 2, 2))
-        return LowLevelFeature(x)
+    def apply(self, videos: Tensor) -> LowLevelFeature:
+        n, t = videos.data.shape[:2]
+        x = T.reshape(videos, (n * t,) + videos.data.shape[2:])
+        x = T.avg_pool(T.relu(T.conv2d(x, self.w1, self.b1)), 2)
+        x = T.avg_pool(T.relu(T.conv2d(x, self.w2, self.b2)), 2)
+        return LowLevelFeature(T.reshape(x, (n, t) + x.data.shape[1:]))
 
 
 @dataclass
@@ -150,7 +151,7 @@ def init_params(dims: ModelDims, seed: int, variant: str = "full") -> ModelParam
     actf = ActfParams(
         plan=make_plan(dims.out_channels, dims.sketch_dim, seed),
         attn=attn,
-        pair_fusion=init_pair_fusion("pair-fusion"),
+        pair_fusion=init_pair_fusion(),
         reduction=reduction,
     )
     clf_w, clf_b = _init_classifier(dims, seed, variant)
@@ -160,73 +161,49 @@ def init_params(dims: ModelDims, seed: int, variant: str = "full") -> ModelParam
         variant=variant,
         backbone=Backbone(w1, b1, w2, b2),
         actf=actf,
-        final_fusion=init_pair_fusion("final-fusion"),
+        final_fusion=init_pair_fusion(),
         clf_w=clf_w,
         clf_b=clf_b,
     )
 
 
-def make_ablation(variant: str, params: ModelParams) -> ModelParams:
-    """A variant model sharing every stage of ``params`` except, when the
-    classifier input width changes, a freshly initialized head."""
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if _classifier_dim(params.dims, variant) == _classifier_dim(params.dims, params.variant):
-        clf_w, clf_b = params.clf_w, params.clf_b
-    else:
-        clf_w, clf_b = _init_classifier(params.dims, params.seed, variant)
-    return replace(params, variant=variant, clf_w=clf_w, clf_b=clf_b)
-
-
 def stpool(F: LowLevelFeature) -> Tensor:
-    """Global mean over time and space per channel (the spatial branch)."""
-    t = F.frames
-    h, w = F.spatial
-    pooled = T.avg_pool(F.tensor, (t, h, w), (1, 1, 1))
-    return T.reshape(pooled, (F.channels,))
+    """Global mean over time and space per channel (the spatial branch): (B, C)."""
+    return T.mean(F.batch, (1, 3, 4))
 
 
-def _classify(v: Tensor, params: ModelParams) -> Tensor:
-    x = T.matmul(T.reshape(v, (1, v.data.shape[0])), params.clf_w)
-    x = T.add(T.reshape(x, (params.dims.n_classes,)), params.clf_b)
-    return x
-
-
-def forward(video: Tensor, params: ModelParams) -> Tensor:
-    """Run one video (t, 3, H, W) through the variant's pipeline to logits."""
+def forward(videos: Tensor, params: ModelParams) -> Tensor:
+    """Run a batch of videos (B, t, 3, H, W) through the variant's pipeline to logits (B, classes)."""
     d = params.dims
-    if video.data.ndim != 4 or video.data.shape[1] != d.in_channels:
-        raise InputError(f"forward: expected (t, {d.in_channels}, H, W), got {video.data.shape}")
-    if video.data.shape[0] < 2:
-        raise InputError("forward: need at least 2 frames")
-    if video.data.shape[2:] != (d.height, d.width):
+    if videos.data.ndim != 5 or videos.data.shape[2] != d.in_channels:
         raise InputError(
-            f"forward: spatial size {video.data.shape[2:]} != configured ({d.height}, {d.width})"
+            f"forward: expected (B, t, {d.in_channels}, H, W), got {videos.data.shape}"
         )
-    F = params.backbone.apply(video)
+    if videos.data.shape[1] < 2:
+        raise InputError("forward: need at least 2 frames")
+    if videos.data.shape[3:] != (d.height, d.width):
+        raise InputError(
+            f"forward: spatial size {videos.data.shape[3:]} != configured ({d.height}, {d.width})"
+        )
+    F = params.backbone.apply(videos)
     variant = params.variant
     if variant == "spatial-only":
-        return _classify(stpool(F), params)
-    if variant == "single-actf":
-        return _classify(extract_actf(F, params.actf), params)
-    v_st = stpool(F)
-    if variant == "full":
-        v_actf = extract_actf(F, params.actf)
-        v = fuse_pair(v_actf, v_st, params.final_fusion)
-    elif variant == "iccf-only":
-        v_actf = extract_actf(F, params.actf, imf_weight_zero=True)
-        v = fuse_pair(v_actf, v_st, params.final_fusion)
+        v = stpool(F)
+    elif variant == "single-actf":
+        v = extract_actf(F, params.actf)
     elif variant == "no-attn":
-        v_actf = extract_actf(F, params.actf, attend=False)
-        v = T.concat_channels(v_actf, v_st)
+        v = T.concat_channels(extract_actf(F, params.actf, attend=False), stpool(F))
+    elif variant in ("full", "iccf-only"):
+        v_actf = extract_actf(F, params.actf, imf_weight_zero=(variant == "iccf-only"))
+        v = fuse_pair(v_actf, stpool(F), params.final_fusion)
     else:
         raise ConfigError(f"unknown variant {variant!r}")
-    return _classify(v, params)
+    return T.linear(v, params.clf_w, params.clf_b)
 
 
-def loss(logits: Tensor, label: int) -> Tensor:
-    """Softmax cross-entropy against a class index."""
-    return T.cross_entropy(logits, label)
+def loss(logits: Tensor, labels) -> Tensor:
+    """Mean softmax cross-entropy of logits (B, classes) against B class indices."""
+    return T.cross_entropy(logits, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +331,15 @@ def load_checkpoint(path) -> ModelParams:
     if (pm["seed"], pm["input_dim"], pm["output_dim"]) != (
             plan.seed, plan.input_dim, plan.output_dim):
         raise ConfigError("checkpoint plan record conflicts with model dims")
-    offset = 10 + meta_len
     by_name = dict(named_tensors(params))
-    for name in meta["tensors"]:
-        if name not in by_name:
-            raise ConfigError(f"checkpoint names unknown tensor {name!r}")
+    names = meta["tensors"]
+    if sorted(names) != sorted(by_name):
+        raise FormatError(
+            f"at byte 10: checkpoint lists tensors {names}, "
+            f"expected each of {sorted(by_name)} exactly once"
+        )
+    offset = 10 + meta_len
+    for name in names:
         t, offset = tensor_from_bytes(raw, offset)
         target = by_name[name]
         if t.data.size != target.data.size:
@@ -367,4 +348,6 @@ def load_checkpoint(path) -> ModelParams:
                 f"expected {target.data.size}"
             )
         target.data = t.data.reshape(target.data.shape)
+    if offset != len(raw):
+        raise FormatError(f"at byte {offset}: {len(raw) - offset} trailing bytes after the last tensor")
     return params

@@ -6,7 +6,8 @@ input requires gradients, records a backward closure. ``Tape.backward`` replays
 the closures in exact reverse order of recording, accumulating cotangents into
 ``Tensor.grad``.
 
-Broadcasting is deliberately not supported except scalar*tensor (``scale``);
+Broadcasting is deliberately limited to scalar*tensor (``scale``), per-row
+biases (``linear``) and per-frame weights (``scale_frames``); other
 mismatched shapes raise ShapeError.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import InputError, ShapeError
 
 _ACTIVE_TAPE = None
 
@@ -69,10 +70,14 @@ class Tape:
         if loss.data.shape != ():
             raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
         loss.grad = np.ones((), dtype=np.float64)
-        for inputs, out, fn in reversed(self._records):
-            if out.grad is None:
+        # Pop each record as it is swept, dropping its closure and its output's
+        # cotangent, so memory falls as the sweep goes; the tape is spent after.
+        while self._records:
+            inputs, out, fn = self._records.pop()
+            g_out, out.grad = out.grad, None
+            if g_out is None:
                 continue
-            grads = fn(out.grad)
+            grads = fn(g_out)
             for t, g in zip(inputs, grads):
                 if g is None or not t.requires_grad:
                     continue
@@ -151,12 +156,12 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor) -> Tensor:
-    """Max-shifted softmax over a rank-1 tensor."""
-    if x.data.ndim != 1 or x.data.size < 1:
-        raise ShapeError(f"softmax: expected a non-empty vector, got shape {x.data.shape}")
-    z = np.exp(x.data - np.max(x.data))
-    y = z / np.sum(z)
-    return apply_primitive(y, (x,), lambda g: (y * (g - np.dot(g, y)),))
+    """Max-shifted softmax over the last axis (each row of a matrix separately)."""
+    if x.data.ndim not in (1, 2) or x.data.shape[-1] < 1:
+        raise ShapeError(f"softmax: expected non-empty rows, got shape {x.data.shape}")
+    z = np.exp(x.data - np.max(x.data, axis=-1, keepdims=True))
+    y = z / np.sum(z, axis=-1, keepdims=True)
+    return apply_primitive(y, (x,), lambda g: (y * (g - np.sum(g * y, axis=-1, keepdims=True)),))
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +173,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
     ad, bd = a.data, b.data
     return apply_primitive(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map of each row: x (N, K) @ w (K, M) + b, with b of shape (M,) or (1, M)."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"linear: incompatible shapes {x.data.shape} and {w.data.shape}")
+    if b.data.shape not in ((w.data.shape[1],), (1, w.data.shape[1])):
+        raise ShapeError(f"linear: bias shape {b.data.shape} does not match {w.data.shape}")
+    xd, wd, bshape = x.data, w.data, b.data.shape
+
+    def backward(g):
+        return g @ wd.T, xd.T @ g, g.sum(axis=0).reshape(bshape)
+
+    return apply_primitive(xd @ wd + b.data.reshape(-1), (x, w, b), backward)
 
 
 def circular_convolve(a: Tensor, b: Tensor) -> Tensor:
@@ -209,150 +228,91 @@ def transpose(x: Tensor, axes) -> Tensor:
     return apply_primitive(np.transpose(x.data, axes), (x,), lambda g: (np.transpose(g, inv),))
 
 
-def stack(tensors) -> Tensor:
-    """Stack equal-shaped tensors along a new leading axis."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ShapeError("stack: empty tensor list")
-    for t in tensors[1:]:
-        _require_same_shape(tensors[0], t, "stack")
-    data = np.stack([t.data for t in tensors])
-    return apply_primitive(data, tensors, lambda g: tuple(g[i] for i in range(len(tensors))))
-
-
-def frame(x: Tensor, i: int) -> Tensor:
-    """Select index ``i`` along the leading axis."""
-    if not 0 <= i < x.data.shape[0]:
-        raise ShapeError(f"frame: index {i} out of range for axis 0 of {x.data.shape}")
-    xshape = x.data.shape
-
-    def backward(g):
-        gx = np.zeros(xshape)
-        gx[i] = g
-        return (gx,)
-
-    return apply_primitive(x.data[i], (x,), backward)
-
-
 def frame_slice(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice [start:stop) along the leading axis."""
-    n = x.data.shape[0]
-    if not 0 <= start < stop <= n:
-        raise ShapeError(f"frame_slice: [{start}:{stop}) invalid for axis 0 of {x.data.shape}")
+    """Contiguous slice [start:stop) along axis 1, the frame axis of (B, t, ...) tensors."""
+    if x.data.ndim < 2 or not 0 <= start < stop <= x.data.shape[1]:
+        raise ShapeError(f"frame_slice: [{start}:{stop}) invalid for axis 1 of {x.data.shape}")
     xshape = x.data.shape
 
     def backward(g):
         gx = np.zeros(xshape)
-        gx[start:stop] = g
+        gx[:, start:stop] = g
         return (gx,)
 
-    return apply_primitive(x.data[start:stop], (x,), backward)
-
-
-def take(x: Tensor, i: int) -> Tensor:
-    """Select element ``i`` of a vector as a scalar tensor."""
-    if x.data.ndim != 1 or not 0 <= i < x.data.shape[0]:
-        raise ShapeError(f"take: index {i} invalid for shape {x.data.shape}")
-    n = x.data.shape[0]
-
-    def backward(g):
-        gx = np.zeros(n)
-        gx[i] = g
-        return (gx,)
-
-    return apply_primitive(x.data[i], (x,), backward)
+    return apply_primitive(x.data[:, start:stop], (x,), backward)
 
 
 def scale_frames(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply each leading-axis slice of ``x`` by the matching entry of vector ``s``."""
-    if s.data.ndim != 1 or s.data.shape[0] != x.data.shape[0]:
+    """Multiply each slice x[i, j, ...] by s[i, j], for weights ``s`` with the leading shape of ``x``."""
+    k = s.data.ndim
+    if k < 1 or s.data.shape != x.data.shape[:k]:
         raise ShapeError(
-            f"scale_frames: weight shape {s.data.shape} does not match leading axis of {x.data.shape}"
+            f"scale_frames: weight shape {s.data.shape} does not match leading axes of {x.data.shape}"
         )
     xd, sd = x.data, s.data
-    expand = (slice(None),) + (None,) * (xd.ndim - 1)
+    expand = (...,) + (None,) * (xd.ndim - k)
 
     def backward(g):
-        axes = tuple(range(1, xd.ndim))
-        return (g * sd[expand], (g * xd).sum(axis=axes))
+        return g * sd[expand], (g * xd).sum(axis=tuple(range(k, xd.ndim)))
 
     return apply_primitive(xd * sd[expand], (x, s), backward)
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate along the channel axis (axis 1 of rank-4, axis 0 of rank-1)."""
+    """Concatenate along the channel axis: axis -3 of feature maps (..., C, H, W),
+    the last axis of vectors (C,) and rows of vectors (N, C)."""
     if a.data.ndim != b.data.ndim:
         raise ShapeError(f"concat_channels: rank mismatch {a.data.shape} vs {b.data.shape}")
-    if a.data.ndim == 1:
-        axis = 0
-    elif a.data.ndim == 4:
-        axis = 1
-        if a.data.shape[:1] + a.data.shape[2:] != b.data.shape[:1] + b.data.shape[2:]:
-            raise ShapeError(
-                f"concat_channels: non-channel extents differ: {a.data.shape} vs {b.data.shape}"
-            )
-    else:
-        raise ShapeError(f"concat_channels: rank {a.data.ndim} unsupported")
+    axis = -1 if a.data.ndim <= 2 else -3
+    rest_a, rest_b = list(a.data.shape), list(b.data.shape)
+    del rest_a[axis], rest_b[axis]
+    if rest_a != rest_b:
+        raise ShapeError(
+            f"concat_channels: non-channel extents differ: {a.data.shape} vs {b.data.shape}"
+        )
     ca = a.data.shape[axis]
-
-    def backward(g):
-        return np.take(g, range(ca), axis=axis), np.take(g, range(ca, g.shape[axis]), axis=axis)
-
-    return apply_primitive(np.concatenate([a.data, b.data], axis=axis), (a, b), backward)
+    return apply_primitive(np.concatenate([a.data, b.data], axis=axis), (a, b),
+                           lambda g: tuple(np.split(g, [ca], axis=axis)))
 
 
 # ---------------------------------------------------------------------------
 # pooling and convolution
 
 
-def avg_pool(x: Tensor, kernel, stride) -> Tensor:
-    """Sliding-window mean over the (time, height, width) axes of a rank-4 tensor.
+def mean(x: Tensor, axes) -> Tensor:
+    """Mean over the given axes, which are dropped from the shape."""
+    axes = tuple(sorted(a % x.data.ndim for a in axes))
+    xshape = x.data.shape
+    n = int(np.prod([xshape[a] for a in axes]))
+    kept = tuple(1 if i in axes else e for i, e in enumerate(xshape))
 
-    The channel axis (axis 1) is never pooled. Output extent per pooled axis is
-    floor((extent - k) / s) + 1.
-    """
-    if x.data.ndim != 4:
-        raise ShapeError(f"avg_pool: expected rank-4 input, got shape {x.data.shape}")
-    kt, kh, kw = kernel
-    st, sh, sw = stride
-    T, C, H, W = x.data.shape
-    if kt < 1 or kh < 1 or kw < 1 or st < 1 or sh < 1 or sw < 1:
-        raise ShapeError(f"avg_pool: kernel {kernel} and stride {stride} must be >= 1")
-    if kt > T or kh > H or kw > W:
-        raise ShapeError(f"avg_pool: kernel {kernel} exceeds input extents {x.data.shape}")
-    # The window mean factorizes per axis, so pool one axis at a time with
-    # strided slice sums instead of materializing a 7-D window view.
-    def pool_axis(a, axis, k, s):
-        if k == 1 and s == 1:
-            return a
-        n = a.shape[axis]
-        if k == n:
-            return a.mean(axis=axis, keepdims=True)
-        n_out = (n - k) // s + 1
-        sel = lambda sl: tuple(sl if i == axis else slice(None) for i in range(a.ndim))
-        out = a[sel(slice(0, s * n_out, s))].copy()
-        for off in range(1, k):
-            out += a[sel(slice(off, off + s * n_out, s))]
-        return out / k
+    def backward(g):
+        return (np.broadcast_to(g.reshape(kept) / n, xshape),)
 
-    out = pool_axis(pool_axis(pool_axis(x.data, 0, kt, st), 2, kh, sh), 3, kw, sw)
-    To, _, Ho, Wo = out.shape
-    k = kt * kh * kw
+    return apply_primitive(x.data.mean(axis=axes), (x,), backward)
+
+
+def avg_pool(x: Tensor, k: int) -> Tensor:
+    """Mean over non-overlapping k x k windows of the last two axes of (N, C, H, W)."""
+    if x.data.ndim != 4 or k < 1 or x.data.shape[2] % k or x.data.shape[3] % k:
+        raise ShapeError(f"avg_pool: {k}x{k} windows do not tile shape {x.data.shape}")
+    # One strided view per window offset: summing k*k views is several times
+    # faster than a mean over two axes of a 6-D reshape.
+    offsets = [(..., slice(i, None, k), slice(j, None, k)) for i in range(k) for j in range(k)]
+    out = x.data[offsets[0]].copy()
+    for o in offsets[1:]:
+        out += x.data[o]
+    out /= k * k
     xshape = x.data.shape
 
     def backward(g):
-        gk = g / k
-        if (To, Ho, Wo) == (1, 1, 1) and (kt, kh, kw) == (T, H, W):
-            # Global pool: the cotangent spreads uniformly.
-            return (np.broadcast_to(gk.reshape(1, C, 1, 1), xshape).copy(),)
-        gx = np.zeros(xshape)
-        for a in range(kt):
-            for b in range(kh):
-                for c in range(kw):
-                    gx[a:a + st * To:st, :, b:b + sh * Ho:sh, c:c + sw * Wo:sw] += gk
+        gx = np.empty(xshape)
+        gk = g / (k * k)
+        for o in offsets:
+            gx[o] = gk
         return (gx,)
 
-    return apply_primitive(np.ascontiguousarray(out), (x,), backward)
+    return apply_primitive(out, (x,), backward)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -396,23 +356,25 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # classification loss
 
 
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """Softmax cross-entropy of a logit vector against a class index."""
-    from .errors import InputError
-
-    if logits.data.ndim != 1:
-        raise ShapeError(f"cross_entropy: expected a logit vector, got {logits.data.shape}")
-    n = logits.data.shape[0]
-    if not 0 <= label < n:
-        raise InputError(f"cross_entropy: label {label} out of range for {n} classes")
-    m = np.max(logits.data)
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean softmax cross-entropy of logit rows (N, classes) against N class indices."""
+    labels = np.asarray(labels)
+    if logits.data.ndim != 2 or labels.shape != logits.data.shape[:1]:
+        raise ShapeError(
+            f"cross_entropy: logits {logits.data.shape} do not match labels {labels.shape}"
+        )
+    n, k = logits.data.shape
+    if labels.dtype.kind not in "iu" or np.any((labels < 0) | (labels >= k)):
+        raise InputError(f"cross_entropy: labels {labels} are not class indices in [0, {k})")
+    rows = np.arange(n)
+    m = np.max(logits.data, axis=1, keepdims=True)
     z = np.exp(logits.data - m)
-    p = z / np.sum(z)
-    loss = m + np.log(np.sum(z)) - logits.data[label]
+    s = np.sum(z, axis=1, keepdims=True)
+    loss = np.mean(m[:, 0] + np.log(s[:, 0]) - logits.data[rows, labels])
 
     def backward(g):
-        gl = p.copy()
-        gl[label] -= 1.0
-        return (gl * g,)
+        gl = z / s
+        gl[rows, labels] -= 1.0
+        return (gl * (g / n),)
 
     return apply_primitive(np.asarray(loss), (logits,), backward)

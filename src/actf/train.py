@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from . import model as M
-from .tensor import Tape, scale, add
+from .tensor import Tape, Tensor
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class SgdOptimizer:
         for name, t, decay in self.parameters:
             if t.grad is None:
                 raise RuntimeError(
-                    f"sgd_step: registered parameter {name!r} has no gradient"
+                    f"SgdOptimizer.step: registered parameter {name!r} has no gradient"
                 )
             g = t.grad
             if decay and self.cfg.weight_decay:
@@ -66,18 +66,6 @@ class SgdOptimizer:
             v += g
             t.data = np.asarray(t.data - lr * v)
             t.grad = None
-
-
-def sgd_step(params: M.ModelParams, lr: float, cfg: TrainConfig,
-             optimizer: SgdOptimizer | None = None) -> SgdOptimizer:
-    """One update over the model's trainable parameters; gradients are cleared.
-
-    Pass the returned optimizer back in to carry velocity across steps.
-    """
-    if optimizer is None:
-        optimizer = SgdOptimizer(M.trainable_parameters(params), cfg)
-    optimizer.step(lr)
-    return optimizer
 
 
 @dataclass
@@ -102,21 +90,37 @@ class TrainReport:
         return "\n".join(lines) + "\n"
 
 
+# Videos per untaped forward in `predict`; bounds evaluation memory.
+EVAL_CHUNK = 16
+
+
+def stack_dataset(dataset):
+    """A list of (video, label) pairs as arrays: videos (n, t, C, H, W) and labels (n,)."""
+    return np.stack([video.data for video, _ in dataset]), np.array([label for _, label in dataset])
+
+
+def predict(params: M.ModelParams, videos: np.ndarray) -> np.ndarray:
+    """Logits (n, classes) of videos (n, t, C, H, W), in chunks of EVAL_CHUNK (no tape)."""
+    return np.concatenate([M.forward(Tensor(videos[i:i + EVAL_CHUNK]), params).data
+                           for i in range(0, len(videos), EVAL_CHUNK)])
+
+
 def evaluate(params: M.ModelParams, dataset) -> float:
     """Top-1 accuracy over a dataset (no tape, no gradients)."""
     if not dataset:
         raise ConfigError("evaluate: empty dataset")
-    correct = sum(
-        int(np.argmax(M.forward(video, params).data) == label)
-        for video, label in dataset
-    )
-    return correct / len(dataset)
+    videos, labels = stack_dataset(dataset)
+    return float(np.mean(np.argmax(predict(params, videos), axis=1) == labels))
 
 
 def fit(params: M.ModelParams, dataset, cfg: TrainConfig, eval_set=None) -> TrainReport:
-    """Train in place; deterministic given config and seed (fixed shuffle order)."""
+    """Train in place; deterministic given config and seed (fixed shuffle order).
+
+    Each minibatch is one batched forward and one backward of its mean loss.
+    """
     if not dataset:
         raise ConfigError("fit: empty dataset")
+    videos, labels = stack_dataset(dataset)
     rng = np.random.default_rng(cfg.seed)
     optimizer = SgdOptimizer(M.trainable_parameters(params), cfg)
     report = TrainReport(config=cfg)
@@ -127,17 +131,13 @@ def fit(params: M.ModelParams, dataset, cfg: TrainConfig, eval_set=None) -> Trai
         total_loss = 0.0
         correct = 0
         for start in range(0, n, cfg.batch_size):
-            batch = [dataset[i] for i in order[start:start + cfg.batch_size]]
+            batch = order[start:start + cfg.batch_size]
             with Tape() as tape:
-                total = None
-                for video, label in batch:
-                    logits = M.forward(video, params)
-                    correct += int(np.argmax(logits.data) == label)
-                    sample_loss = M.loss(logits, label)
-                    total = sample_loss if total is None else add(total, sample_loss)
-                mean_loss = scale(total, 1.0 / len(batch))
-                tape.backward(mean_loss)
-            total_loss += float(mean_loss.data) * len(batch)
+                logits = M.forward(Tensor(videos[batch]), params)
+                batch_loss = M.loss(logits, labels[batch])
+                tape.backward(batch_loss)
+            correct += int(np.sum(np.argmax(logits.data, axis=1) == labels[batch]))
+            total_loss += float(batch_loss.data) * len(batch)
             optimizer.step(lr)
         eval_acc = evaluate(params, eval_set) if eval_set else float("nan")
         report.epochs.append(EpochRecord(

@@ -77,8 +77,7 @@ def test_criterion_3_normalization_invariants(capsys):
             feat = int(rng.integers(1, 6))
             npairs = int(rng.integers(1, 5))
             attn = A.init_temporal_attention(feat, rng)
-            pairs = [Tensor(rng.standard_normal((feat, 2, 2)))
-                     for _ in range(npairs)]
+            pairs = Tensor(rng.standard_normal((1, npairs, feat, 2, 2)))
             alpha = A.temporal_weights(pairs, attn).data
             assert abs(alpha.sum() - 1.0) < 1e-12
             for _site in range(2):
@@ -105,11 +104,11 @@ def test_criterion_4_shape_reproduction(capsys):
         F = B.LowLevelFeature(
             Tensor(rng.standard_normal((8, c_out, 7, 7)) * 0.1))
         iccf = B.extract_iccf(F, params.plan, params.attn)
-        assert iccf.b.data.shape == (7, 3840, 7, 7)
+        assert iccf.data.shape == (1, 7, 3840, 7, 7)
         imf = B.extract_imf(F)
-        assert imf.l.data.shape == (7, 768, 7, 7)
-        h = A.fuse_pair(iccf.b, imf.l, params.pair_fusion)
-        assert h.data.shape == (7, 4608, 7, 7)
+        assert imf.data.shape == (1, 7, 768, 7, 7)
+        h = A.fuse_pair(iccf, imf, params.pair_fusion)
+        assert h.data.shape == (1, 7, 4608, 7, 7)
         v = B.extract_actf(F, params)
         assert v.data.shape == (768,)
         assert time.monotonic() - start < 60.0

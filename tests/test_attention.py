@@ -13,16 +13,17 @@ def t(x, grad=False):
 
 
 def _pairs(rng, n, c, h, w):
-    return [t(rng.standard_normal((c, h, w))) for _ in range(n)]
+    """One video's n pair features, batch-first: (1, n, c, h, w)."""
+    return t(rng.standard_normal((1, n, c, h, w)))
 
 
 class TestTemporalWeights:
     def test_identical_pairs_uniform(self):
         rng = np.random.default_rng(0)
         attn = A.init_temporal_attention(4, rng)
-        p = t(rng.standard_normal((4, 3, 3)))
-        alpha = A.temporal_weights([p, p, p], attn).data
-        np.testing.assert_allclose(alpha, np.full(3, 1.0 / 3), atol=1e-12)
+        p = rng.standard_normal((4, 3, 3))
+        alpha = A.temporal_weights(t(np.stack([p, p, p])[None]), attn).data
+        np.testing.assert_allclose(alpha, np.full((1, 3), 1.0 / 3), atol=1e-12)
 
     def test_zero_projection_uniform(self):
         rng = np.random.default_rng(1)
@@ -39,13 +40,13 @@ class TestTemporalWeights:
         alpha = A.temporal_weights(pairs, attn).data
 
         logits = []
-        for p in pairs:
-            pooled = p.data.mean(axis=(1, 2))
+        for p in pairs.data[0]:
+            pooled = p.mean(axis=(1, 2))
             raw = float(pooled @ attn.proj.data[:, 0])
             logits.append(1.0 / (1.0 + np.exp(-raw)))
         logits = np.array(logits)
         expect = np.exp(logits) / np.exp(logits).sum()
-        np.testing.assert_allclose(alpha, expect, atol=1e-10)
+        np.testing.assert_allclose(alpha[0], expect, atol=1e-10)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(3)
@@ -59,8 +60,8 @@ class TestTemporalWeights:
         pairs = _pairs(rng, 5, 4, 2, 2)
         alpha = A.temporal_weights(pairs, attn).data
         perm = [3, 0, 4, 1, 2]
-        alpha_p = A.temporal_weights([pairs[i] for i in perm], attn).data
-        np.testing.assert_allclose(alpha_p, alpha[perm], atol=1e-12)
+        alpha_p = A.temporal_weights(t(pairs.data[:, perm]), attn).data
+        np.testing.assert_allclose(alpha_p, alpha[:, perm], atol=1e-12)
 
     def test_gradient_flow(self):
         rng = np.random.default_rng(5)

@@ -7,6 +7,7 @@ from actf import branch as B
 from actf import attention as A
 from actf import sketch as S
 from actf import tensor as T
+from actf.check import gradient_error
 from actf.errors import InputError, ShapeError
 
 
@@ -29,18 +30,23 @@ def _params(c_out, d, seed=0, r1=None, r2=None):
 
 class TestLowLevelFeature:
     def test_requires_rank_four(self):
+        # rank 4 is one video, rank 5 a batch; anything else is refused
         with pytest.raises(ShapeError):
             B.LowLevelFeature(t(np.zeros((4, 3, 5))))
+        with pytest.raises(ShapeError):
+            B.LowLevelFeature(t(np.zeros((1, 2, 4, 3, 5, 5))))
 
     def test_requires_two_frames(self):
         with pytest.raises(InputError):
             B.LowLevelFeature(t(np.zeros((1, 3, 5, 5))))
 
     def test_properties(self):
-        F = B.LowLevelFeature(t(np.zeros((8, 16, 7, 7))))
-        assert F.frames == 8
-        assert F.channels == 16
-        assert F.spatial == (7, 7)
+        for shape in ((8, 16, 7, 7), (3, 8, 16, 7, 7)):
+            F = B.LowLevelFeature(t(np.zeros(shape)))
+            assert F.frames == 8
+            assert F.channels == 16
+            assert F.spatial == (7, 7)
+            assert F.batch.data.shape[0] == (1 if len(shape) == 4 else 3)
 
 
 class TestIccf:
@@ -48,16 +54,17 @@ class TestIccf:
         p = _params(c_out=4, d=8)
         F = B.LowLevelFeature(t(np.zeros((3, 4, 2, 2))))
         iccf = B.extract_iccf(F, p.plan, p.attn)
-        np.testing.assert_array_equal(iccf.b.data, np.zeros((2, 8, 2, 2)))
-        np.testing.assert_allclose(iccf.alpha.data, 0.5, atol=1e-12)
+        np.testing.assert_array_equal(iccf.data, np.zeros((1, 2, 8, 2, 2)))
+        np.testing.assert_allclose(A.temporal_weights(iccf, p.attn).data, 0.5,
+                                   atol=1e-12)
 
     def test_shapes(self):
         p = _params(c_out=6, d=20)
         F = B.LowLevelFeature(t(np.random.default_rng(1)
                                 .standard_normal((5, 6, 3, 3))))
         iccf = B.extract_iccf(F, p.plan, p.attn)
-        assert iccf.b.data.shape == (4, 20, 3, 3)
-        assert iccf.alpha.data.shape == (4,)
+        assert iccf.data.shape == (1, 4, 20, 3, 3)
+        assert A.temporal_weights(iccf, p.attn).data.shape == (1, 4)
 
     def test_manual_sketch_oracle(self):
         # t=2, 1x1 spatial: the single pair at the single location must be
@@ -68,7 +75,8 @@ class TestIccf:
         f = rng.standard_normal((2, c, 1, 1))
         F = B.LowLevelFeature(t(f))
         iccf = B.extract_iccf(F, p.plan, p.attn)
-        np.testing.assert_allclose(iccf.alpha.data, [1.0], atol=1e-12)
+        np.testing.assert_allclose(A.temporal_weights(iccf, p.attn).data, [[1.0]],
+                                   atol=1e-12)
 
         cs1 = np.zeros(d)
         cs2 = np.zeros(d)
@@ -79,15 +87,18 @@ class TestIccf:
         for i in range(d):
             for j in range(d):
                 manual[(i + j) % d] += cs1[i] * cs2[j]
-        np.testing.assert_allclose(iccf.b.data[0, :, 0, 0], manual,
+        np.testing.assert_allclose(iccf.data[0, 0, :, 0, 0], manual,
                                    atol=1e-10)
 
     def test_attend_false_unit_weights(self):
         rng = np.random.default_rng(4)
         p = _params(c_out=3, d=8)
         F = B.LowLevelFeature(t(rng.standard_normal((4, 3, 2, 2))))
-        iccf = B.extract_iccf(F, p.plan, p.attn, attend=False)
-        np.testing.assert_array_equal(iccf.alpha.data, np.ones(3))
+        raw = B.extract_iccf(F, p.plan, p.attn, attend=False).data
+        alpha = A.temporal_weights(t(raw), p.attn).data
+        weighted = B.extract_iccf(F, p.plan, p.attn).data
+        np.testing.assert_allclose(weighted, raw * alpha[:, :, None, None, None],
+                                   atol=1e-12)
 
 
 class TestImf:
@@ -95,16 +106,16 @@ class TestImf:
         frame = np.random.default_rng(5).standard_normal((3, 4, 4))
         F = B.LowLevelFeature(t(np.stack([frame] * 6)))
         imf = B.extract_imf(F)
-        assert imf.l.data.shape == (5, 3, 4, 4)
+        assert imf.data.shape == (1, 5, 3, 4, 4)
         for i in range(5):
-            np.testing.assert_allclose(imf.l.data[i], frame, atol=1e-12)
+            np.testing.assert_allclose(imf.data[0, i], frame, atol=1e-12)
 
     def test_pairwise_means(self):
         frames = np.stack([np.full((2, 3, 3), float(v)) for v in range(8)])
         F = B.LowLevelFeature(t(frames))
         imf = B.extract_imf(F)
         for i in range(7):
-            np.testing.assert_allclose(imf.l.data[i], i + 0.5, atol=1e-12)
+            np.testing.assert_allclose(imf.data[0, i], i + 0.5, atol=1e-12)
 
 
 class TestExtractActf:
@@ -151,6 +162,33 @@ class TestExtractActf:
         z = z @ red.w3.data + red.b3.data.ravel()
         np.testing.assert_allclose(out.data, z, atol=1e-9)
 
+    def test_batch_rows_match_single_videos(self):
+        # a rank-5 batch gives one row per video, each equal to that video
+        # on its own (a rank-4 feature, returned unbatched)
+        rng = np.random.default_rng(13)
+        p = _params(c_out=3, d=8)
+        f = rng.standard_normal((3, 4, 3, 2, 2))
+        for kw in ({}, {"attend": False}, {"imf_weight_zero": True}):
+            batch = B.extract_actf(B.LowLevelFeature(t(f)), p, **kw).data
+            assert batch.shape == (3, 3)
+            for i in range(3):
+                alone = B.extract_actf(B.LowLevelFeature(t(f[i])), p, **kw).data
+                np.testing.assert_allclose(batch[i], alone, rtol=0, atol=1e-12)
+
+    def test_gradient_reaches_unbatched_feature(self):
+        # a single video's feature, wrapped before the tape, still gets its gradient
+        rng = np.random.default_rng(14)
+        p = _params(c_out=3, d=6)
+        f = t(rng.uniform(0.0, 1.0, (3, 3, 2, 2)), grad=True)
+        F = B.LowLevelFeature(f)
+        r = t(rng.standard_normal((3, 1)))
+
+        def make_loss():
+            v = B.extract_actf(F, p)
+            return T.reshape(T.matmul(T.reshape(v, (1, 3)), r), ())
+
+        assert gradient_error(make_loss, [f]) < 1e-6
+
     def test_imf_weight_zero_removes_mean_path(self):
         # with the mean branch zeroed, the reduction rows that multiply
         # the mean block can be scrambled without changing the output
@@ -166,7 +204,7 @@ class TestExtractActf:
     def test_pooled_matches_naive_mean(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((6, 4, 3, 5))
-        pooled = T.avg_pool(t(x), (6, 3, 5), (1, 1, 1)).data.ravel()
+        pooled = T.mean(t(x), (0, 2, 3)).data
         naive = np.zeros(4)
         for c in range(4):
             acc = 0.0
@@ -191,5 +229,5 @@ class TestReduction:
         red = B.init_reduction(6, 3, 4, 2, rng)
         for b in (red.b1, red.b2, red.b3):
             b.data = np.zeros_like(b.data)
-        out = red.apply(t(np.zeros(6)))
-        np.testing.assert_allclose(out.data, np.zeros(2), atol=1e-15)
+        out = red.apply(t(np.zeros((3, 6))))
+        np.testing.assert_allclose(out.data, np.zeros((3, 2)), atol=1e-15)

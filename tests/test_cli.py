@@ -104,6 +104,34 @@ def test_eval_from_checkpoint(tmp_path, tiny_cfg):
         assert float(r[3]) + float(r[4]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_eval_scores_held_out_task(tmp_path, tiny_cfg, monkeypatch):
+    # eval regenerates the task that train held out, not the training set
+    out = str(tmp_path / "out")
+    assert cli.main(["train", "--config", tiny_cfg, "--out", out]) == 0
+    generated = []
+    generate = D.generate
+    monkeypatch.setattr(D, "generate", lambda task: generated.append(task) or generate(task))
+    rc = cli.main(["eval", "--checkpoint", os.path.join(out, "checkpoint.ckpt"),
+                   "--config", tiny_cfg, "--out", str(tmp_path / "ev")])
+    assert rc == 0
+    train_task, eval_task, _, _ = cli._build_experiment(
+        {**cli._EXPERIMENT_DEFAULTS, **TINY})
+    assert generated == [eval_task]
+    assert eval_task.seed != train_task.seed
+
+
+def test_eval_refuses_bad_checkpoint(tmp_path, tiny_cfg, capsys):
+    out = str(tmp_path / "out")
+    assert cli.main(["train", "--config", tiny_cfg, "--out", out]) == 0
+    ckpt = os.path.join(out, "checkpoint.ckpt")
+    with open(ckpt, "ab") as f:
+        f.write(b"\x00")
+    rc = cli.main(["eval", "--checkpoint", ckpt, "--config", tiny_cfg,
+                   "--out", str(tmp_path / "ev")])
+    assert rc == 2
+    assert "trailing bytes" in capsys.readouterr().err
+
+
 def test_eval_manifest_round_trip(tmp_path, tiny_cfg):
     out = str(tmp_path / "out")
     assert cli.main(["train", "--config", tiny_cfg, "--out", out]) == 0

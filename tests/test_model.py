@@ -1,7 +1,10 @@
 """Classifier assembly, ablation variants, and checkpoint round-trips."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from actf import model as M
 from actf import tensor as T
@@ -40,10 +43,10 @@ class TestForward:
         dims = M.ModelDims(frames=8, height=32, width=32, conv1_channels=4,
                            out_channels=8, sketch_dim=16, n_classes=4)
         p = M.init_params(dims, 0, "full")
-        video = t(np.random.default_rng(0)
-                  .standard_normal((8, 3, 32, 32)) * 0.1)
-        logits = M.forward(video, p)
-        assert logits.data.shape == (4,)
+        videos = t(np.random.default_rng(0)
+                   .standard_normal((2, 8, 3, 32, 32)) * 0.1)
+        logits = M.forward(videos, p)
+        assert logits.data.shape == (2, 4)
 
     def test_zero_video_zero_biases(self):
         dims = tiny_dims()
@@ -51,28 +54,47 @@ class TestForward:
         for name, tensor in M.named_tensors(p):
             if name.endswith(("b1", "b2", "b3", "clf.b")) or name.endswith(".b"):
                 tensor.data = np.zeros_like(tensor.data)
-        logits = M.forward(t(np.zeros((4, 3, 16, 16))), p)
-        np.testing.assert_allclose(logits.data, np.zeros(3), atol=1e-15)
+        logits = M.forward(t(np.zeros((1, 4, 3, 16, 16))), p)
+        np.testing.assert_allclose(logits.data, np.zeros((1, 3)), atol=1e-15)
 
     def test_spatial_only_order_invariant(self):
         dims = tiny_dims()
         p = M.init_params(dims, 1, "spatial-only")
-        video = np.random.default_rng(1).standard_normal((4, 3, 16, 16))
+        video = np.random.default_rng(1).standard_normal((1, 4, 3, 16, 16))
         fwd = M.forward(t(video), p).data
-        rev = M.forward(t(video[::-1].copy()), p).data
+        rev = M.forward(t(video[:, ::-1].copy()), p).data
         np.testing.assert_allclose(fwd, rev, atol=1e-12)
 
     def test_full_is_order_sensitive(self):
         dims = tiny_dims()
         p = M.init_params(dims, 1, "full")
-        video = np.random.default_rng(2).standard_normal((4, 3, 16, 16))
+        video = np.random.default_rng(2).standard_normal((1, 4, 3, 16, 16))
         fwd = M.forward(t(video), p).data
-        rev = M.forward(t(video[::-1].copy()), p).data
+        rev = M.forward(t(video[:, ::-1].copy()), p).data
         assert not np.allclose(fwd, rev, atol=1e-8)
 
     def test_loss_uniform_logits(self):
-        val = M.loss(t(np.zeros(4)), 0)
+        val = M.loss(t(np.zeros((3, 4))), [0, 2, 3])
         assert float(val.data) == pytest.approx(np.log(4.0), abs=1e-12)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_rows_match_single_videos(self, variant, n, seed, data):
+        # the batch axis never mixes videos: each row is that video alone,
+        # and permuting the batch permutes the rows
+        p = M.init_params(tiny_dims(), 2, variant)
+        videos = np.random.default_rng(seed).uniform(0.0, 1.0, (n, 4, 3, 16, 16))
+        batch = M.forward(t(videos), p).data
+        assert batch.shape == (n, 3)
+        for i in range(n):
+            alone = M.forward(t(videos[i:i + 1]), p).data
+            np.testing.assert_allclose(batch[i], alone[0], rtol=0, atol=1e-12)
+        perm = data.draw(st.permutations(range(n)))
+        np.testing.assert_allclose(M.forward(t(videos[perm]), p).data, batch[perm],
+                                   rtol=0, atol=1e-12)
 
 
 class TestVariants:
@@ -100,19 +122,12 @@ class TestVariants:
         assert "attn.proj" not in names
         assert "pair_fusion.raw_a" not in names
 
-    def test_make_ablation_shares_backbone(self):
-        dims = tiny_dims()
-        p = M.init_params(dims, 0, "full")
-        q = M.make_ablation("spatial-only", p)
-        assert q.backbone.w1 is p.backbone.w1
-        assert q.variant == "spatial-only"
-
     def test_iccf_only_ignores_mean_branch(self):
         # the mean-branch rows of the reduction weights must not affect
         # iccf-only logits
         dims = tiny_dims()
         p = M.init_params(dims, 3, "iccf-only")
-        video = t(np.random.default_rng(3).standard_normal((4, 3, 16, 16)))
+        video = t(np.random.default_rng(3).standard_normal((1, 4, 3, 16, 16)))
         a = M.forward(video, p).data.copy()
         d = dims.sketch_dim
         p.actf.reduction.w1.data[d:, :] += 1.0
@@ -123,7 +138,7 @@ class TestVariants:
         # scrambling the attention projection must not change no-attn logits
         dims = tiny_dims()
         p = M.init_params(dims, 4, "no-attn")
-        video = t(np.random.default_rng(4).standard_normal((4, 3, 16, 16)))
+        video = t(np.random.default_rng(4).standard_normal((1, 4, 3, 16, 16)))
         a = M.forward(video, p).data.copy()
         p.actf.attn.proj.data += 2.0
         b = M.forward(video, p).data
@@ -165,7 +180,7 @@ class TestCheckpoint:
         # original
         for (_, ta), (_, tb) in zip(M.named_tensors(p), M.named_tensors(q)):
             ta.data = ta.data.astype(np.float32).astype(np.float64)
-        video = t(np.random.default_rng(5).standard_normal((4, 3, 16, 16)))
+        video = t(np.random.default_rng(5).standard_normal((1, 4, 3, 16, 16)))
         np.testing.assert_allclose(M.forward(video, p).data,
                                    M.forward(video, q).data, atol=1e-12)
 
@@ -173,6 +188,32 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(FormatError):
+            M.load_checkpoint(path)
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        # drop the last tensor (clf.b) from both the metadata list and the payload
+        from actf.data import tensor_to_bytes
+
+        p = M.init_params(tiny_dims(), 0, "full")
+        p.clf_b.data = np.full_like(p.clf_b.data, 5.0)
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(path, p)
+        raw = path.read_bytes()
+        meta_len = int(np.frombuffer(raw[6:10], dtype="<u4")[0])
+        meta = json.loads(raw[10:10 + meta_len])
+        meta["tensors"].remove("clf.b")
+        blob = json.dumps(meta, sort_keys=True).encode()
+        payload = raw[10 + meta_len:-len(tensor_to_bytes(p.clf_b))]
+        path.write_bytes(raw[:6] + np.uint32(len(blob)).tobytes() + blob + payload)
+        with pytest.raises(FormatError, match="at byte 10"):
+            M.load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(path, M.init_params(tiny_dims(), 0, "full"))
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\x00\x01\x02")
+        with pytest.raises(FormatError, match=f"at byte {size}"):
             M.load_checkpoint(path)
 
     def test_named_tensor_order_stable(self):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from actf import tensor as T
 from actf.check import gradient_error
-from actf.errors import ShapeError
+from actf.errors import InputError, ShapeError
 
 
 def t(x, grad=False):
@@ -94,6 +94,12 @@ class TestSoftmax:
     def test_singleton(self):
         np.testing.assert_array_equal(T.softmax(t([0.0])).data, [1.0])
 
+    def test_rows_independent(self):
+        x = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 5.0]])
+        out = T.softmax(t(x)).data
+        for i in range(2):
+            np.testing.assert_allclose(out[i], T.softmax(t(x[i])).data, atol=1e-15)
+
     def test_direct_formula(self):
         x = np.array([1.0, 2.0, 3.0])
         expect = np.exp(x) / np.exp(x).sum()
@@ -159,60 +165,97 @@ class TestConcatChannels:
         np.testing.assert_array_equal(out[:, 3:], b.data)
 
 
-class TestAvgPool:
-    def test_constant(self):
-        x = t(np.full((4, 2, 6, 6), 3.0))
-        out = T.avg_pool(x, (2, 2, 2), (2, 2, 2))
-        np.testing.assert_allclose(out.data, 3.0)
-
-    def test_two_point_mean(self):
-        x = t(np.stack([np.zeros((1, 2, 2)), np.full((1, 2, 2), 2.0)]))
-        out = T.avg_pool(x, (2, 1, 1), (1, 1, 1))
-        np.testing.assert_allclose(out.data, 1.0)
-        assert out.data.shape == (1, 1, 2, 2)
-
-    def test_pairwise_shape(self):
-        x = t(np.zeros((8, 16, 7, 7)))
-        out = T.avg_pool(x, (2, 1, 1), (1, 1, 1))
-        assert out.data.shape == (7, 16, 7, 7)
-
+class TestMean:
     def test_global_matches_mean(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((5, 3, 4, 6))
-        out = T.avg_pool(t(x), (5, 4, 6), (1, 1, 1))
-        np.testing.assert_allclose(out.data.ravel(), x.mean(axis=(0, 2, 3)),
+        out = T.mean(t(x), (0, 2, 3))
+        np.testing.assert_allclose(out.data, x.mean(axis=(0, 2, 3)), atol=1e-12)
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(22)
+        x = t(rng.standard_normal((2, 3, 4, 2, 2)), grad=True)
+        proj = t(rng.standard_normal((8, 1)))
+
+        def make_loss():
+            out = T.mean(x, (1, 3, 4))
+            return T.reshape(T.matmul(T.reshape(out, (1, 8)), proj), ())
+
+        assert gradient_error(make_loss, [x]) < 1e-6
+
+
+class TestLinear:
+    def test_matches_matmul_plus_bias(self):
+        rng = np.random.default_rng(23)
+        x, w, b = (rng.standard_normal(s) for s in ((3, 4), (4, 2), (1, 2)))
+        np.testing.assert_allclose(T.linear(t(x), t(w), t(b)).data, x @ w + b,
                                    atol=1e-12)
+
+    def test_bias_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            T.linear(t(np.zeros((3, 4))), t(np.zeros((4, 2))), t(np.zeros(3)))
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(24)
+        x = t(rng.standard_normal((3, 4)), grad=True)
+        w = t(rng.standard_normal((4, 2)), grad=True)
+        b = t(rng.standard_normal(2), grad=True)
+        proj = t(rng.standard_normal((6, 1)))
+
+        def make_loss():
+            out = T.linear(x, w, b)
+            return T.reshape(T.matmul(T.reshape(out, (1, 6)), proj), ())
+
+        assert gradient_error(make_loss, [x, w, b]) < 1e-6
+
+
+class TestAvgPool:
+    def test_constant(self):
+        x = t(np.full((4, 2, 6, 6), 3.0))
+        out = T.avg_pool(x, 2)
+        np.testing.assert_allclose(out.data, 3.0)
+        assert out.data.shape == (4, 2, 3, 3)
+
+    def test_two_point_mean(self):
+        x = t(np.array([[[[0.0, 2.0], [0.0, 2.0]]]]))
+        out = T.avg_pool(x, 2)
+        np.testing.assert_allclose(out.data, 1.0)
+        assert out.data.shape == (1, 1, 1, 1)
+
+    def test_windows_must_tile(self):
+        with pytest.raises(ShapeError):
+            T.avg_pool(t(np.zeros((1, 1, 5, 4))), 2)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(9)
         x = t(rng.standard_normal((3, 2, 4, 4)), grad=True)
-        proj = t(rng.standard_normal((16, 1)))
+        proj = t(rng.standard_normal((24, 1)))
 
         def make_loss():
-            out = T.avg_pool(x, (2, 2, 2), (1, 2, 2))
-            return T.reshape(T.matmul(T.reshape(out, (1, 16)), proj), ())
+            out = T.avg_pool(x, 2)
+            return T.reshape(T.matmul(T.reshape(out, (1, 24)), proj), ())
 
         assert gradient_error(make_loss, [x]) < 1e-6
 
 
 class TestFrameSlice:
     def test_forward(self):
-        x = t(np.arange(24.0).reshape(4, 3, 2))
+        x = t(np.arange(48.0).reshape(2, 4, 3, 2))
         out = T.frame_slice(x, 1, 3)
-        np.testing.assert_array_equal(out.data, x.data[1:3])
+        np.testing.assert_array_equal(out.data, x.data[:, 1:3])
 
     def test_bad_range(self):
         with pytest.raises(ShapeError):
-            T.frame_slice(t(np.zeros((4, 2))), 2, 5)
+            T.frame_slice(t(np.zeros((1, 4, 2))), 2, 5)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(20)
-        x = t(rng.standard_normal((5, 3)), grad=True)
-        proj = t(rng.standard_normal((9, 1)))
+        x = t(rng.standard_normal((2, 5, 3)), grad=True)
+        proj = t(rng.standard_normal((18, 1)))
 
         def make_loss():
             out = T.frame_slice(x, 1, 4)
-            return T.reshape(T.matmul(T.reshape(out, (1, 9)), proj), ())
+            return T.reshape(T.matmul(T.reshape(out, (1, 18)), proj), ())
 
         assert gradient_error(make_loss, [x]) < 1e-6
 
@@ -245,27 +288,33 @@ class TestScaleFrames:
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        out = T.cross_entropy(t(np.zeros(4)), 1)
+        out = T.cross_entropy(t(np.zeros((2, 4))), [1, 3])
         assert out.data == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_dominant_logit(self):
-        logits = np.zeros(4)
-        logits[2] = 50.0
-        assert T.cross_entropy(t(logits), 2).data < 1e-9
+        logits = np.zeros((1, 4))
+        logits[0, 2] = 50.0
+        assert T.cross_entropy(t(logits), [2]).data < 1e-9
 
     def test_direct_formula(self):
+        # the batch mean of -log p[label] per row
         rng = np.random.default_rng(11)
-        x = rng.standard_normal(6)
-        p = np.exp(x - x.max())
-        p /= p.sum()
-        out = T.cross_entropy(t(x), 3)
-        assert out.data == pytest.approx(-np.log(p[3]), abs=1e-12)
+        x = rng.standard_normal((2, 6))
+        p = np.exp(x - x.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        out = T.cross_entropy(t(x), [3, 0])
+        expect = -(np.log(p[0, 3]) + np.log(p[1, 0])) / 2
+        assert out.data == pytest.approx(expect, abs=1e-12)
+
+    def test_label_out_of_range(self):
+        with pytest.raises(InputError):
+            T.cross_entropy(t(np.zeros((2, 4))), [1, 4])
 
     def test_gradcheck(self):
-        x = t(np.random.default_rng(12).standard_normal(5), grad=True)
+        x = t(np.random.default_rng(12).standard_normal((3, 5)), grad=True)
 
         def make_loss():
-            return T.cross_entropy(x, 2)
+            return T.cross_entropy(x, [2, 0, 2])
 
         assert gradient_error(make_loss, [x]) < 1e-6
 

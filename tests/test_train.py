@@ -38,7 +38,7 @@ class TestOptimizer:
         for _, t, _ in M.trainable_parameters(p):
             t.grad = np.zeros_like(t.data)
         cfg = TR.TrainConfig(weight_decay=0.0)
-        TR.sgd_step(p, 0.1, cfg)
+        TR.SgdOptimizer(M.trainable_parameters(p), cfg).step(0.1)
         for n, t in M.named_tensors(p):
             np.testing.assert_array_equal(t.data, before[n])
 
@@ -76,8 +76,9 @@ class TestOptimizer:
 
     def test_missing_grad_names_parameter(self):
         p = M.init_params(tiny_dims(), 0, "full")
-        with pytest.raises(RuntimeError, match="backbone.w1"):
-            TR.sgd_step(p, 0.1, TR.TrainConfig())
+        opt = TR.SgdOptimizer(M.trainable_parameters(p), TR.TrainConfig())
+        with pytest.raises(RuntimeError, match="SgdOptimizer.step.*backbone.w1"):
+            opt.step(0.1)
 
 
 class TestFit:
@@ -126,6 +127,26 @@ class TestFit:
         acc = TR.evaluate(p, ds)
         assert 0.0 <= acc <= 1.0
         assert acc * 8 == int(round(acc * 8))
+
+    def test_one_forward_per_minibatch(self, monkeypatch):
+        # fit runs each minibatch as one batched forward, and evaluate
+        # runs chunks of at most EVAL_CHUNK videos, in sample order
+        dims = tiny_dims()
+        p = M.init_params(dims, 0, "full")
+        rng = np.random.default_rng(1)
+        ds = [(Tensor(rng.standard_normal((4, 3, 16, 16))), i % 4) for i in range(40)]
+        sizes = []
+        forward = M.forward
+        monkeypatch.setattr(M, "forward",
+                            lambda v, q: sizes.append(v.data.shape[0]) or forward(v, q))
+        TR.fit(p, ds[:10], TR.TrainConfig(epochs=1, batch_size=4, seed=0))
+        assert sizes == [4, 4, 2]
+        sizes.clear()
+        videos = np.stack([v.data for v, _ in ds])
+        logits = TR.predict(p, videos)
+        assert sizes == [16, 16, 8]
+        np.testing.assert_allclose(logits[17], forward(Tensor(videos[17:18]), p).data[0],
+                                   rtol=0, atol=1e-12)
 
     def test_fit_deterministic(self):
         ds = D.generate(D.SyntheticTask(kind="direction4", per_class=2,
