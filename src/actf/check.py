@@ -15,7 +15,7 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from .tensor import Tape, Tensor
-from .sketch import compact_bilinear, count_sketch, exact_bilinear, make_plan
+from .sketch import compact_bilinear, exact_bilinear, make_plan
 from .attention import (
     TemporalAttention,
     PairFusionWeights,
@@ -124,11 +124,6 @@ def run_audit(seed: int = 0) -> list:
     check("reshape", lambda: _scalarize(T.reshape(v, (3, 4)), wv), [v])
     check("transpose", lambda: _scalarize(T.transpose(v, (1, 0)), wv), [v])
 
-    c1 = _param(rng, (16,))
-    c2 = _param(rng, (16,))
-    w = rng.standard_normal(16)
-    check("circular_convolve", lambda: _scalarize(T.circular_convolve(c1, c2), w), [c1, c2])
-
     p5 = _param(rng, (2, 3, 2, 4, 4))
     q5 = _param(rng, (2, 3, 5, 4, 4))
     w = rng.standard_normal(2 * 3 * 7 * 4 * 4)
@@ -164,9 +159,13 @@ def run_audit(seed: int = 0) -> list:
     sx = _param(rng, (12,))
     sy = _param(rng, (12,))
     w = rng.standard_normal(16)
-    check("count_sketch", lambda: _scalarize(count_sketch(sx, 1, plan), w), [sx])
     check("compact_bilinear",
           lambda: _scalarize(compact_bilinear(sx, sy, plan), w), [sx, sy])
+    bx = _param(rng, (3, 12))
+    by = _param(rng, (3, 12))
+    wb = rng.standard_normal(3 * 16)
+    check("compact_bilinear",
+          lambda: _scalarize(compact_bilinear(bx, by, plan), wb), [bx, by])
     w = rng.standard_normal(144)
     check("exact_bilinear", lambda: _scalarize(exact_bilinear(sx, sy), w), [sx, sy])
 

@@ -40,9 +40,18 @@ def _merge_config(args, defaults: dict) -> dict:
     if args.config:
         with open(args.config) as f:
             loaded = json.load(f)
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file must hold a JSON object, got {type(loaded).__name__}")
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, v in loaded.items():
+            # An int may stand for a float; a bool is not an int here.
+            want = type(defaults[key])
+            if type(v) not in ((int, float) if want is float else (want,)):
+                raise ConfigError(
+                    f"config key {key!r}: expected {want.__name__}, got {type(v).__name__} {v!r}"
+                )
         cfg.update(loaded)
     for key in defaults:
         v = getattr(args, key.replace("-", "_"), None)
@@ -62,10 +71,6 @@ def _write_table(path, cfg_hash: str, seed, columns, rows) -> None:
 
 _TASK_KEYS = ("task", "frames", "height", "width", "train_per_class",
               "eval_per_class", "noise")
-_MODEL_KEYS = ("conv1_channels", "out_channels", "sketch_dim", "reduce1",
-               "reduce2", "variant")
-_TRAIN_KEYS = ("lr0", "momentum", "weight_decay", "decay_factor",
-               "decay_epochs", "epochs", "batch_size")
 
 _EXPERIMENT_DEFAULTS = {
     "task": "direction4",

@@ -185,6 +185,8 @@ def tensor_from_bytes(raw: bytes, offset: int = 0):
     base = offset
     if raw[offset:offset + 4] != _MAGIC:
         raise FormatError(f"at byte {base}: bad magic {raw[offset:offset + 4]!r}")
+    if len(raw) < offset + 8:
+        raise FormatError(f"at byte {base}: truncated header, need 8 bytes, have {len(raw) - base}")
     version = int(np.frombuffer(raw, dtype="<u2", count=1, offset=offset + 4)[0])
     if version != _VERSION:
         raise FormatError(f"at byte {base + 4}: unsupported version {version}")

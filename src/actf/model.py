@@ -319,6 +319,8 @@ def load_checkpoint(path) -> ModelParams:
         raw = f.read()
     if raw[:4] != _CKPT_MAGIC:
         raise FormatError(f"at byte 0: bad checkpoint magic {raw[:4]!r}")
+    if len(raw) < 10:
+        raise FormatError(f"at byte 0: truncated checkpoint header, need 10 bytes, have {len(raw)}")
     version = int(np.frombuffer(raw[4:6], dtype="<u2")[0])
     if version != _CKPT_VERSION:
         raise FormatError(f"at byte 4: unsupported checkpoint version {version}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, apply_primitive, circular_convolve
+from .tensor import Tensor, apply_primitive
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,8 @@ class SketchPlan:
     h1/h2 map input coordinates to buckets in [0, output_dim); s1/s2 are
     +-1 signs. Both pairs are drawn independently and are fully reproducible
     from ``seed``. ``proj1``/``proj2`` are the equivalent dense (C, d)
-    scatter matrices, cached for fast batched application.
+    scatter matrices: the forward sketches through them with one matmul,
+    and the backward gathers through the tables.
     """
 
     input_dim: int
@@ -56,39 +57,33 @@ def make_plan(input_dim: int, output_dim: int, seed: int) -> SketchPlan:
                       dense(h1, s1), dense(h2, s2))
 
 
-def _proj(plan: SketchPlan, which: int) -> np.ndarray:
-    if which == 1:
-        return plan.proj1
-    if which == 2:
-        return plan.proj2
-    raise ConfigError(f"count_sketch: table selector must be 1 or 2, got {which}")
-
-
-def count_sketch(x: Tensor, which: int, plan: SketchPlan) -> Tensor:
-    """Signed-hash projection: out[h(j)] += s(j) * x[j] along the last axis.
-
-    Accepts a vector of length input_dim or a batch (..., input_dim); the
-    sketch is applied independently to each row. Linear, so backward scatters
-    the cotangent back through the same tables.
-    """
-    if x.data.shape[-1] != plan.input_dim:
-        raise ShapeError(
-            f"count_sketch: last axis {x.data.shape[-1]} != plan input_dim {plan.input_dim}"
-        )
-    m = _proj(plan, which)
-    return apply_primitive(x.data @ m, (x,), lambda g: (g @ m.T,))
-
-
 def compact_bilinear(x: Tensor, y: Tensor, plan: SketchPlan) -> Tensor:
     """Sketch of the outer product x y^T: CS1(x) circularly convolved with CS2(y).
 
-    Batched like count_sketch; differentiable in both arguments.
+    Takes equal-shaped (..., input_dim) operands and maps each row alone to
+    (..., output_dim); one tape record, differentiable in both arguments.
+    Backward correlates the cotangent with the saved spectra, then gathers
+    through the hash tables.
     """
     if x.data.shape != y.data.shape:
         raise ShapeError(
             f"compact_bilinear: shape mismatch {x.data.shape} vs {y.data.shape}"
         )
-    return circular_convolve(count_sketch(x, 1, plan), count_sketch(y, 2, plan))
+    if x.data.shape[-1] != plan.input_dim:
+        raise ShapeError(
+            f"compact_bilinear: last axis {x.data.shape[-1]} != plan input_dim {plan.input_dim}"
+        )
+    d = plan.output_dim
+    fa = np.fft.rfft(x.data @ plan.proj1, axis=-1)
+    fb = np.fft.rfft(y.data @ plan.proj2, axis=-1)
+
+    def backward(g):
+        fg = np.fft.rfft(g, axis=-1)
+        ga = np.fft.irfft(fg * np.conj(fb), n=d, axis=-1)
+        gb = np.fft.irfft(fg * np.conj(fa), n=d, axis=-1)
+        return ga[..., plan.h1] * plan.s1, gb[..., plan.h2] * plan.s2
+
+    return apply_primitive(np.fft.irfft(fa * fb, n=d, axis=-1), (x, y), backward)
 
 
 def exact_bilinear(x: Tensor, y: Tensor) -> Tensor:

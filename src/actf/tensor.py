@@ -189,29 +189,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return apply_primitive(xd @ wd + b.data.reshape(-1), (x, w, b), backward)
 
 
-def circular_convolve(a: Tensor, b: Tensor) -> Tensor:
-    """Circular convolution along the last axis: out[k] = sum_j a[j] b[(k-j) mod d].
-
-    Computed via real FFTs, so the result carries no imaginary residue.
-    Backward is circular correlation. Leading (batch) axes must match.
-    """
-    _require_same_shape(a, b, "circular_convolve")
-    d = a.data.shape[-1]
-    if d < 1:
-        raise ShapeError("circular_convolve: empty last axis")
-    fa = np.fft.rfft(a.data, axis=-1)
-    fb = np.fft.rfft(b.data, axis=-1)
-    out = np.fft.irfft(fa * fb, n=d, axis=-1)
-
-    def backward(g):
-        fg = np.fft.rfft(g, axis=-1)
-        ga = np.fft.irfft(fg * np.conj(fb), n=d, axis=-1)
-        gb = np.fft.irfft(fg * np.conj(fa), n=d, axis=-1)
-        return ga, gb
-
-    return apply_primitive(out, (a, b), backward)
-
-
 # ---------------------------------------------------------------------------
 # shape manipulation
 

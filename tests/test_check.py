@@ -2,6 +2,9 @@
 
 import inspect
 
+import pytest
+
+from actf import attention as A
 from actf import check as C
 from actf import sketch as S
 from actf import tensor as T
@@ -16,10 +19,25 @@ def _recording_functions(module):
     }
 
 
-def test_every_primitive_is_audited():
+@pytest.fixture(scope="module")
+def results():
+    return C.run_audit()
+
+
+def test_every_primitive_is_audited(results):
     primitives = _recording_functions(T) | _recording_functions(S)
-    assert {"conv2d", "count_sketch", "reshape"} <= primitives
-    results = C.run_audit()
+    assert {"conv2d", "compact_bilinear", "reshape"} <= primitives
     missing = primitives - {r.name for r in results}
     assert not missing, f"primitives without a gradient check: {sorted(missing)}"
     assert all(r.ok for r in results), [r for r in results if not r.ok]
+
+
+def test_every_check_names_a_function(results):
+    # the reverse guard: no check outlives the function it audits
+    defined = {
+        name for module in (T, S, A)
+        for name, fn in inspect.getmembers(module, inspect.isfunction)
+        if fn.__module__ == module.__name__
+    }
+    names = {r.name for r in results} - {"model_end_to_end"}
+    assert names <= defined, sorted(names - defined)

@@ -132,6 +132,15 @@ def test_eval_refuses_bad_checkpoint(tmp_path, tiny_cfg, capsys):
     assert "trailing bytes" in capsys.readouterr().err
 
 
+def test_eval_refuses_truncated_checkpoint(tmp_path, tiny_cfg, capsys):
+    ckpt = tmp_path / "short.ckpt"
+    ckpt.write_bytes(b"ACKP\x01")
+    rc = cli.main(["eval", "--checkpoint", str(ckpt), "--config", tiny_cfg,
+                   "--out", str(tmp_path / "ev")])
+    assert rc == 2
+    assert "at byte 0: truncated checkpoint header" in capsys.readouterr().err
+
+
 def test_eval_manifest_round_trip(tmp_path, tiny_cfg):
     out = str(tmp_path / "out")
     assert cli.main(["train", "--config", tiny_cfg, "--out", out]) == 0
@@ -175,6 +184,30 @@ def test_malformed_config_json(tmp_path):
     rc = cli.main(["train", "--config", str(bad),
                    "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("frames", "8"), ("frames", 8.0), ("frames", True), ("decay_epochs", 3),
+    ("variant", 1), ("lr0", "0.1"),
+])
+def test_config_value_of_wrong_type(tmp_path, capsys, key, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({key: value}))
+    rc = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
+
+
+def test_config_must_be_object(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[]")
+    assert cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_config_int_accepted_for_float(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(TINY, noise=0, epochs=0)))
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_unknown_flag_usage_error(capsys):

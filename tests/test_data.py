@@ -123,6 +123,11 @@ class TestTensorFormat:
         with pytest.raises(FormatError):
             D.tensor_from_bytes(raw)
 
+    def test_truncated_header_names_offset(self):
+        raw = b"pad" + D.tensor_to_bytes(Tensor(1.0))[:5]
+        with pytest.raises(FormatError, match="at byte 3: truncated header"):
+            D.tensor_from_bytes(raw, 3)
+
     def test_version_mismatch(self):
         raw = bytearray(D.tensor_to_bytes(Tensor(1.0)))
         struct.pack_into("<H", raw, 4, 9)

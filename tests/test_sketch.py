@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from actf import sketch as S
 from actf import tensor as T
 from actf.check import gradient_error
+from actf.errors import ShapeError
 
 
 def t(x, grad=False):
@@ -38,19 +40,14 @@ class TestPlan:
 
 class TestCountSketch:
     def test_basis_vector(self):
+        # the dense matrices the forward multiplies by hold exactly the
+        # tables the backward gathers through: row j is s[j] at column h[j]
         plan = S.make_plan(8, 16, seed=1)
-        for j in range(8):
-            x = np.zeros(8)
-            x[j] = 1.0
-            out = S.count_sketch(t(x), 1, plan).data
-            expect = np.zeros(16)
-            expect[plan.h1[j]] = plan.s1[j]
-            np.testing.assert_array_equal(out, expect)
-
-    def test_zero(self):
-        plan = S.make_plan(8, 16, seed=1)
-        np.testing.assert_array_equal(
-            S.count_sketch(t(np.zeros(8)), 2, plan).data, np.zeros(16))
+        for proj, h, s in ((plan.proj1, plan.h1, plan.s1),
+                           (plan.proj2, plan.h2, plan.s2)):
+            expect = np.zeros((8, 16))
+            expect[np.arange(8), h] = s
+            np.testing.assert_array_equal(proj, expect)
 
     def test_inner_product_estimator(self):
         # unbiased estimator of <x, y>: averaging over 200 independent
@@ -63,21 +60,8 @@ class TestCountSketch:
         ests = []
         for trial in range(200):
             plan = S.make_plan(c, d, seed=trial)
-            ests.append(S.count_sketch(t(x), 1, plan).data @
-                        S.count_sketch(t(y), 1, plan).data)
+            ests.append((x @ plan.proj1) @ (y @ plan.proj1))
         assert abs(np.mean(ests) - exact) / abs(exact) < 0.05
-
-    def test_gradcheck(self):
-        plan = S.make_plan(6, 12, seed=3)
-        rng = np.random.default_rng(4)
-        x = t(rng.standard_normal(6), grad=True)
-        proj = t(rng.standard_normal((12, 1)))
-
-        def make_loss():
-            out = S.count_sketch(x, 1, plan)
-            return T.reshape(T.matmul(T.reshape(out, (1, 12)), proj), ())
-
-        assert gradient_error(make_loss, [x]) < 1e-6
 
 
 class TestCompactBilinear:
@@ -118,6 +102,39 @@ class TestCompactBilinear:
             exact = (x @ u) * (y @ v)
             errs.append(abs(est - exact) / max(abs(exact), 1e-12))
         assert np.median(errs) < 0.15
+
+    @given(lead=st.sampled_from([(), (3,), (2, 3)]), c=st.integers(1, 9),
+           d=st.integers(1, 17), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_match_brute_force_sum(self, lead, c, d, seed):
+        plan = S.make_plan(c, d, seed=seed)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(lead + (c,))
+        y = rng.standard_normal(lead + (c,))
+        out = S.compact_bilinear(t(x), t(y), plan).data
+        assert out.shape == lead + (d,)
+        for idx in np.ndindex(*lead):
+            expect = np.zeros(d)
+            for i in range(c):
+                for j in range(c):
+                    expect[(plan.h1[i] + plan.h2[j]) % d] += (
+                        plan.s1[i] * plan.s2[j] * x[idx][i] * y[idx][j])
+            np.testing.assert_allclose(out[idx], expect, rtol=0, atol=1e-9)
+            alone = S.compact_bilinear(t(x[idx]), t(y[idx]), plan).data
+            np.testing.assert_allclose(out[idx], alone, rtol=0, atol=1e-12)
+
+    def test_input_dim_mismatch(self):
+        plan = S.make_plan(8, 16, seed=5)
+        with pytest.raises(ShapeError, match="input_dim"):
+            S.compact_bilinear(t(np.ones((2, 7))), t(np.ones((2, 7))), plan)
+
+    def test_one_tape_record(self):
+        plan = S.make_plan(8, 16, seed=5)
+        x = t(np.ones((3, 8)), grad=True)
+        y = t(np.ones((3, 8)), grad=True)
+        with T.Tape() as tape:
+            S.compact_bilinear(x, y, plan)
+        assert len(tape._records) == 1
 
     def test_gradcheck(self):
         plan = S.make_plan(5, 8, seed=8)

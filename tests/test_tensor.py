@@ -113,43 +113,6 @@ class TestSoftmax:
         assert (out.data >= 0).all()
 
 
-class TestCircularConvolve:
-    def test_identity_element(self):
-        e0 = t([1.0, 0.0, 0.0, 0.0])
-        x = t([0.3, -1.2, 4.0, 0.5])
-        np.testing.assert_allclose(T.circular_convolve(e0, x).data, x.data,
-                                   atol=1e-12)
-
-    def test_shift(self):
-        out = T.circular_convolve(t([1.0, 0.0, 0.0, 0.0]),
-                                  t([0.0, 1.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [0.0, 1.0, 0.0, 0.0], atol=1e-12)
-
-    def test_matches_naive(self):
-        # direct O(d^2) summation oracle
-        rng = np.random.default_rng(4)
-        d = 64
-        a = rng.standard_normal(d)
-        b = rng.standard_normal(d)
-        naive = np.zeros(d)
-        for i in range(d):
-            for j in range(d):
-                naive[(i + j) % d] += a[i] * b[j]
-        out = T.circular_convolve(t(a), t(b))
-        np.testing.assert_allclose(out.data, naive, atol=1e-9)
-
-    def test_gradcheck(self):
-        rng = np.random.default_rng(5)
-        a = t(rng.standard_normal(8), grad=True)
-        b = t(rng.standard_normal(8), grad=True)
-        w = t(rng.standard_normal((8, 1)))
-
-        def make_loss():
-            return T.reshape(T.matmul(T.reshape(T.circular_convolve(a, b), (1, 8)), w), ())
-
-        assert gradient_error(make_loss, [a, b]) < 1e-6
-
-
 class TestConcatChannels:
     def test_neutral_element(self):
         a = t(np.random.default_rng(6).standard_normal((2, 3, 4, 4)))
