@@ -145,6 +145,11 @@ def run_audit(seed: int = 0) -> list:
     bc = _param(rng, (4,))
     w = rng.standard_normal(2 * 4 * 5 * 5)
     check("conv2d", lambda: _scalarize(T.conv2d(xc, wc, bc), w), [xc, wc, bc])
+    xn, wn, bn = _param(rng, (2, 2, 4, 7)), _param(rng, (3, 2, 5, 5)), _param(rng, (3,))
+    w = rng.standard_normal(2 * 3 * 4 * 7)
+    check("conv2d", lambda: _scalarize(T.conv2d(xn, wn, bn), w), [xn, wn, bn])
+    # A plain-Tensor input takes the path that skips its gradient.
+    check("conv2d", lambda: _scalarize(T.conv2d(Tensor(xn.data), wn, bn), w), [wn, bn])
 
     xl = _param(rng, (3, 4))
     wl = _param(rng, (4, 2))

@@ -325,17 +325,23 @@ def load_checkpoint(path) -> ModelParams:
     if version != _CKPT_VERSION:
         raise FormatError(f"at byte 4: unsupported checkpoint version {version}")
     meta_len = int(np.frombuffer(raw[6:10], dtype="<u4")[0])
-    meta = json.loads(raw[10:10 + meta_len].decode())
-    dims = ModelDims(**meta["dims"])
-    params = init_params(dims, meta["seed"], meta["variant"])
+    try:
+        meta = json.loads(raw[10:10 + meta_len].decode())
+        # Indexing anything but a JSON object by name raises TypeError.
+        dims, seed, variant, pm, names = (
+            meta[k] for k in ("dims", "seed", "variant", "plan", "tensors"))
+        if not (isinstance(dims, dict) and all(type(v) is int for v in (seed, *dims.values()))):
+            raise TypeError(f"seed and dims fields must be integers: {seed!r}, {dims!r}")
+        dims = ModelDims(**dims)
+        plan_record, listed = (pm["seed"], pm["input_dim"], pm["output_dim"]), sorted(names)
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as e:
+        raise FormatError(f"at byte 10: malformed checkpoint metadata: {e!r}") from e
+    params = init_params(dims, seed, variant)
     plan = params.actf.plan
-    pm = meta["plan"]
-    if (pm["seed"], pm["input_dim"], pm["output_dim"]) != (
-            plan.seed, plan.input_dim, plan.output_dim):
+    if plan_record != (plan.seed, plan.input_dim, plan.output_dim):
         raise ConfigError("checkpoint plan record conflicts with model dims")
     by_name = dict(named_tensors(params))
-    names = meta["tensors"]
-    if sorted(names) != sorted(by_name):
+    if listed != sorted(by_name):
         raise FormatError(
             f"at byte 10: checkpoint lists tensors {names}, "
             f"expected each of {sorted(by_name)} exactly once"

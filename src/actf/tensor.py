@@ -140,8 +140,9 @@ def scale(x: Tensor, s) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0) elementwise; a NaN input stays NaN, with gradient 0 there."""
     mask = x.data > 0
-    return apply_primitive(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
+    return apply_primitive(np.maximum(x.data, 0.0), (x,), lambda g: (g * mask,))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -313,18 +314,21 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     windows = np.lib.stride_tricks.sliding_window_view(xpad, (kh, kw), axis=(2, 3))
     out = np.einsum("nchwij,ocij->nohw", windows, w.data, optimize=True)
     out += b.data[None, :, None, None]
-    wd = w.data
+    wd, need_gx = w.data, x.requires_grad
 
     def backward(g):
         gw = np.einsum("nohw,nchwij->ocij", g, windows, optimize=True)
         gb = g.sum(axis=(0, 2, 3))
-        gxpad = np.zeros_like(xpad)
+        if not need_gx:
+            return None, gw, gb
+        # One GEMM per kernel offset on the channels-first cotangent; a single
+        # tensordot over all offsets builds a kh*kw times larger temporary.
+        gt = g.transpose(1, 0, 2, 3).reshape(Cout, N * H * W)
+        gxpad = np.zeros((Cin, N, H + 2 * ph, W + 2 * pw))
         for i in range(kh):
             for j in range(kw):
-                gxpad[:, :, i:i + H, j:j + W] += np.einsum(
-                    "nohw,oc->nchw", g, wd[:, :, i, j], optimize=True
-                )
-        return gxpad[:, :, ph:ph + H, pw:pw + W], gw, gb
+                gxpad[:, :, i:i + H, j:j + W] += (wd[:, :, i, j].T @ gt).reshape(Cin, N, H, W)
+        return gxpad[:, :, ph:ph + H, pw:pw + W].transpose(1, 0, 2, 3), gw, gb
 
     return apply_primitive(out, (x, w, b), backward)
 

@@ -141,6 +141,20 @@ def test_eval_refuses_truncated_checkpoint(tmp_path, tiny_cfg, capsys):
     assert "at byte 0: truncated checkpoint header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", [
+    b"ACKP\x01\x00\x02\x00\x00\x00\xff\xff",   # metadata not UTF-8
+    b"ACKP\x01\x00\x02\x00\x00\x00{}",           # no dims
+    b"ACKP\x01\x00\x05\x00\x00\x00[1,2]",        # not a JSON object
+])
+def test_eval_refuses_malformed_metadata(tmp_path, tiny_cfg, capsys, raw):
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(raw)
+    rc = cli.main(["eval", "--checkpoint", str(ckpt), "--config", tiny_cfg,
+                   "--out", str(tmp_path / "ev")])
+    assert rc == 2
+    assert "at byte 10: malformed checkpoint metadata" in capsys.readouterr().err
+
+
 def test_eval_manifest_round_trip(tmp_path, tiny_cfg):
     out = str(tmp_path / "out")
     assert cli.main(["train", "--config", tiny_cfg, "--out", out]) == 0

@@ -208,6 +208,29 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="at byte 10"):
             M.load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.pop("tensors"),
+        lambda m: m.pop("plan"),
+        lambda m: m["dims"].update(depth=2),
+        lambda m: m["dims"].update(frames="4"),
+        lambda m: m["dims"].update(frames=4.0),
+        lambda m: m.update(dims=[4, 16]),
+        lambda m: m.update(seed="0"),
+        lambda m: m.update(tensors=5),
+    ], ids=["no-tensors", "no-plan", "unknown-dims-field", "str-dims-field",
+            "float-dims-field", "dims-not-object", "str-seed", "tensors-not-list"])
+    def test_malformed_metadata_rejected(self, tmp_path, edit):
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(path, M.init_params(tiny_dims(), 0, "full"))
+        raw = path.read_bytes()
+        meta_len = int(np.frombuffer(raw[6:10], dtype="<u4")[0])
+        meta = json.loads(raw[10:10 + meta_len])
+        edit(meta)
+        blob = json.dumps(meta).encode()
+        path.write_bytes(raw[:6] + np.uint32(len(blob)).tobytes() + blob + raw[10 + meta_len:])
+        with pytest.raises(FormatError, match="at byte 10: malformed checkpoint metadata"):
+            M.load_checkpoint(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         M.save_checkpoint(path, M.init_params(tiny_dims(), 0, "full"))

@@ -43,6 +43,14 @@ class TestElementwise:
         out = T.relu(t([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
+    def test_relu_propagates_nan(self):
+        x = t([np.nan, -1.0, 0.0, 2.0], grad=True)
+        with T.Tape() as tape:
+            out = T.relu(x)
+            tape.backward(T.reshape(T.matmul(T.reshape(out, (1, 4)), t(np.ones((4, 1)))), ()))
+        np.testing.assert_array_equal(out.data, [np.nan, 0.0, 0.0, 2.0])
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0, 1.0])
+
     def test_scale_identity(self):
         x = t([1.5, -2.5])
         np.testing.assert_array_equal(T.scale(x, 1.0).data, x.data)
@@ -199,6 +207,72 @@ class TestAvgPool:
             return T.reshape(T.matmul(T.reshape(out, (1, 24)), proj), ())
 
         assert gradient_error(make_loss, [x]) < 1e-6
+
+
+def conv2d_oracle(x, w, b, g):
+    """Loop 'same' convolution and the gradients of sum(g * out)."""
+    n, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    out = np.zeros((n, cout, h, wd)) + b[None, :, None, None]
+    gx, gw = np.zeros_like(x), np.zeros_like(w)
+    for r in range(h):
+        for c in range(wd):
+            for i in range(kh):
+                for j in range(kw):
+                    rr, cc = r + i - kh // 2, c + j - kw // 2
+                    if not (0 <= rr < h and 0 <= cc < wd):
+                        continue
+                    for o in range(cout):
+                        out[:, o, r, c] += x[:, :, rr, cc] @ w[o, :, i, j]
+                        gx[:, :, rr, cc] += np.outer(g[:, o, r, c], w[o, :, i, j])
+                        gw[o, :, i, j] += g[:, o, r, c] @ x[:, :, rr, cc]
+    return out, gx, gw, g.sum(axis=(0, 2, 3))
+
+
+def taped_conv2d(x, w, b, g):
+    """conv2d under a tape, backpropagating sum(g * out) into the leaves."""
+    with T.Tape() as tape:
+        out = T.conv2d(x, w, b)
+        proj = t(g.reshape(-1, 1))
+        tape.backward(T.reshape(T.matmul(T.reshape(out, (1, g.size)), proj), ()))
+    return out
+
+
+class TestConv2d:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_matches_loop_oracle(self, k):
+        rng = np.random.default_rng(k)
+        x = t(rng.standard_normal((2, 3, 5, 7)), grad=True)
+        w = t(rng.standard_normal((4, 3, k, k)), grad=True)
+        b = t(rng.standard_normal(4), grad=True)
+        g = rng.standard_normal((2, 4, 5, 7))
+        out = taped_conv2d(x, w, b, g)
+        expected = conv2d_oracle(x.data, w.data, b.data, g)
+        for got, want in zip((out.data, x.grad, w.grad, b.grad), expected):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    def test_input_without_grad_gets_none(self):
+        rng = np.random.default_rng(4)
+        xd = rng.standard_normal((2, 3, 6, 4))
+        g = rng.standard_normal((2, 5, 6, 4))
+        w = t(rng.standard_normal((5, 3, 3, 3)), grad=True)
+        b = t(rng.standard_normal(5), grad=True)
+        x = t(xd)
+        taped_conv2d(x, w, b, g)
+        assert x.grad is None
+        w_ref = t(w.data, grad=True)
+        b_ref = t(b.data, grad=True)
+        taped_conv2d(t(xd, grad=True), w_ref, b_ref, g)
+        np.testing.assert_array_equal(w.grad, w_ref.grad)
+        np.testing.assert_array_equal(b.grad, b_ref.grad)
+
+    def test_even_kernel(self):
+        with pytest.raises(ShapeError):
+            T.conv2d(t(np.zeros((1, 2, 4, 4))), t(np.zeros((3, 2, 2, 2))), t(np.zeros(3)))
+
+    def test_channel_mismatch(self):
+        with pytest.raises(ShapeError):
+            T.conv2d(t(np.zeros((1, 2, 4, 4))), t(np.zeros((3, 4, 3, 3))), t(np.zeros(3)))
 
 
 class TestFrameSlice:
