@@ -7,7 +7,7 @@ feature fusion, synthetic motion tasks, and a momentum-SGD training loop.
 
 from .tensor import Tensor, Tape
 from .errors import ConfigError, FormatError, InputError, ShapeError
-from .sketch import SketchPlan, make_plan, compact_bilinear, exact_bilinear
+from .sketch import SketchPlan, make_plan, compact_bilinear, exact_bilinear, pooled_bilinear
 from .attention import (
     TemporalAttention,
     PairFusionWeights,

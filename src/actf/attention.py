@@ -36,18 +36,19 @@ def init_temporal_attention(feat_dim: int, rng: np.random.Generator) -> Temporal
 def temporal_weights(pairs: Tensor, attn: TemporalAttention) -> Tensor:
     """Attention weights over frame pairs; each row non-negative, summing to 1.
 
-    Pair features (B, t-1, C, H, W) are spatially averaged to C-vectors,
-    projected to one logit each, squashed by sigmoid, then normalized by a
+    Pair features (B, t-1, C), or maps (B, t-1, C, H, W) averaged over space,
+    are projected to one logit each, squashed by sigmoid, then normalized by a
     softmax across the pairs of each video: alpha has shape (B, t-1).
     """
-    if pairs.data.ndim != 5 or pairs.data.shape[2] != attn.feat_dim:
+    if pairs.data.ndim == 5:
+        pairs = T.mean(pairs, (3, 4))
+    if pairs.data.ndim != 3 or pairs.data.shape[2] != attn.feat_dim:
         raise ShapeError(
             f"temporal_weights: pair features {pairs.data.shape} are not "
-            f"(B, t-1, {attn.feat_dim}, H, W)"
+            f"(B, t-1, {attn.feat_dim}) or (B, t-1, {attn.feat_dim}, H, W)"
         )
     b, p = pairs.data.shape[:2]
-    pooled = T.reshape(T.mean(pairs, (3, 4)), (b * p, attn.feat_dim))
-    logits = T.reshape(T.matmul(pooled, attn.proj), (b, p))
+    logits = T.reshape(T.matmul(T.reshape(pairs, (b * p, attn.feat_dim)), attn.proj), (b, p))
     return T.softmax(T.sigmoid(logits))
 
 

@@ -2,10 +2,12 @@
 attention, pairwise mean features, attentive fusion, and the reduction to a
 C_out-length video vector.
 
-Shapes, batch-first, with F of shape (B, t, C_out, H, W) and sketch dimension d:
-    bilinear correlation B : (B, t-1, d, H, W)
-    pairwise mean        L : (B, t-1, C_out, H, W)
-    fused                H : (B, t-1, d + C_out, H, W)
+Shapes, batch-first, with F of shape (B, t, C_out, H, W) and sketch dimension d.
+``extract_iccf``/``extract_imf`` give the paper's regional maps; ``extract_actf``
+uses only their means over space and pairs, so it pools first and never forms them:
+    bilinear correlation B : maps (B, t-1, d, H, W), pooled (B, t-1, d)
+    pairwise mean        L : maps (B, t-1, C_out, H, W), pooled (B, t-1, C_out)
+    fused, pooled over pairs: (B, d + C_out)
     output          v_actf : (B, C_out)
 """
 
@@ -15,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ShapeError
+from .errors import InputError, ShapeError
 from . import tensor as T
 from .tensor import Tensor
-from .sketch import SketchPlan, compact_bilinear
+from .sketch import SketchPlan, compact_bilinear, pooled_bilinear
 from .attention import (
     PairFusionWeights,
     TemporalAttention,
@@ -109,7 +111,7 @@ class ActfParams:
 
 
 def _frame_pairs(x: Tensor):
-    """The leading and trailing frames of every consecutive pair of x (B, t, C, H, W)."""
+    """The leading and trailing frames of every consecutive pair of x (B, t, ...)."""
     t = x.data.shape[1]
     return T.frame_slice(x, 0, t - 1), T.frame_slice(x, 1, t)
 
@@ -118,10 +120,6 @@ def extract_iccf(F: LowLevelFeature, plan: SketchPlan, attn: TemporalAttention,
                  attend: bool = True) -> Tensor:
     """Per-pair compact bilinear correlation (B, t-1, d, H, W), each pair scaled
     by its temporal attention weight; with ``attend`` off every weight is 1."""
-    if plan.input_dim != F.channels:
-        raise ConfigError(
-            f"extract_iccf: plan input_dim {plan.input_dim} != feature channels {F.channels}"
-        )
     x = F.batch
     n, t, c, h, w = x.data.shape
     # Every pair at every location goes through the sketch as one (B*(t-1)*H*W, C) batch.
@@ -142,17 +140,26 @@ def extract_actf(F: LowLevelFeature, params: ActfParams,
                  attend: bool = True, imf_weight_zero: bool = False) -> Tensor:
     """Full temporal branch: correlation + mean features, fused, pooled, reduced.
 
+    Equals the reduced mean of the fused ``extract_iccf``/``extract_imf`` maps.
     ``imf_weight_zero`` forces the mean-feature fusion weight to 0 (correlation
     only); ``attend`` off replaces every attentive concatenation with direct
     concatenation at weight 1.
     """
-    iccf = extract_iccf(F, params.plan, params.attn, attend=attend)
-    imf = extract_imf(F)
+    x = F.batch
+    n, t, c, h, w = x.data.shape
+    # Each pair's frames as channels-first (C, H*W) operands: a reshape, no transpose.
+    first, second = (T.reshape(f, (n * (t - 1), c, h * w)) for f in _frame_pairs(x))
+    iccf = T.reshape(pooled_bilinear(first, second, params.plan), (n, t - 1, -1))
+    if attend:
+        iccf = T.scale_frames(iccf, temporal_weights(iccf, params.attn))
+    iccf = T.mean(iccf, (1,))
+    first, second = _frame_pairs(T.mean(x, (3, 4)))
+    imf = T.mean(T.scale(T.add(first, second), 0.5), (1,))
     if imf_weight_zero:
         h_cat = T.concat_channels(iccf, T.scale(imf, 0.0))
     elif attend:
         h_cat = fuse_pair(iccf, imf, params.pair_fusion)
     else:
         h_cat = T.concat_channels(iccf, imf)
-    v = params.reduction.apply(T.mean(h_cat, (1, 3, 4)))
+    v = params.reduction.apply(h_cat)
     return T.reshape(v, v.data.shape[1:]) if F.unbatched else v

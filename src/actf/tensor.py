@@ -30,16 +30,6 @@ class Tensor:
         self.grad = None
         self.requires_grad = requires_grad
 
-    @property
-    def dims(self) -> tuple:
-        return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -81,17 +71,21 @@ class Tape:
             for t, g in zip(inputs, grads):
                 if g is None or not t.requires_grad:
                     continue
-                if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                t.grad += g
+                if g.shape != t.data.shape:
+                    raise ShapeError(f"backward: gradient of shape {g.shape} for input {t.data.shape}")
+                # The first cotangent is kept as is; a later one makes a new sum.
+                t.grad = g if t.grad is None else t.grad + g
 
 
 def apply_primitive(data, inputs, backward) -> Tensor:
     """Create an op output, recording ``backward`` on the active tape.
 
     ``backward(out_grad)`` must return one gradient array (or None) per input,
-    aligned with ``inputs``. Exposed so other modules (e.g. the sketch map)
-    can define primitives with custom backward rules.
+    aligned with ``inputs`` and shaped like it. It must never write into
+    ``out_grad``: a cotangent may be shared with other tensors (``add`` hands
+    the same array to both inputs), and becomes an input's ``.grad`` as is.
+    Exposed so other modules (e.g. the sketch map) can define primitives with
+    custom backward rules.
     """
     out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs))
     if _ACTIVE_TAPE is not None and out.requires_grad:
@@ -116,12 +110,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "sub")
     return apply_primitive(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "mul")
-    ad, bd = a.data, b.data
-    return apply_primitive(ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
 def scale(x: Tensor, s) -> Tensor:

@@ -6,6 +6,7 @@ import pytest
 from actf import attention as A
 from actf import tensor as T
 from actf.check import gradient_error
+from actf.errors import ShapeError
 
 
 def t(x, grad=False):
@@ -62,6 +63,23 @@ class TestTemporalWeights:
         perm = [3, 0, 4, 1, 2]
         alpha_p = A.temporal_weights(t(pairs.data[:, perm]), attn).data
         np.testing.assert_allclose(alpha_p, alpha[:, perm], atol=1e-12)
+
+    def test_maps_pool_to_features(self):
+        # feature maps give the weights of their spatial means, and pooled
+        # (B, t-1, C) features are taken as they are
+        rng = np.random.default_rng(6)
+        attn = A.init_temporal_attention(4, rng)
+        maps = t(rng.standard_normal((2, 3, 4, 2, 5)))
+        pooled = t(maps.data.mean(axis=(3, 4)))
+        np.testing.assert_allclose(A.temporal_weights(maps, attn).data,
+                                   A.temporal_weights(pooled, attn).data, atol=1e-15)
+        assert A.temporal_weights(pooled, attn).data.shape == (2, 3)
+
+    def test_bad_shapes(self):
+        attn = A.init_temporal_attention(4, np.random.default_rng(7))
+        for shape in ((2, 3, 5), (3, 4), (2, 3, 4, 2)):
+            with pytest.raises(ShapeError):
+                A.temporal_weights(t(np.zeros(shape)), attn)
 
     def test_gradient_flow(self):
         rng = np.random.default_rng(5)

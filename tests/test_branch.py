@@ -201,6 +201,52 @@ class TestExtractActf:
         out_b = B.extract_actf(F, p, imf_weight_zero=True)
         np.testing.assert_allclose(out_a.data, out_b.data, atol=1e-12)
 
+    @pytest.mark.parametrize("kw", [{}, {"attend": False}, {"imf_weight_zero": True},
+                                    {"attend": False, "imf_weight_zero": True}])
+    @pytest.mark.parametrize("shape", [(4, 3, 2, 3), (2, 4, 3, 2, 3)])
+    def test_equals_reduced_mean_of_maps(self, kw, shape):
+        # the pooled path equals the paper's form: fuse the ICCF and IMF
+        # maps, average over pairs and space, then reduce
+        rng = np.random.default_rng(15)
+        p = _params(c_out=3, d=8)
+        p.pair_fusion.raw_a.data = np.asarray(0.7)
+        F = B.LowLevelFeature(t(rng.uniform(0.0, 1.0, shape)))
+        attend = kw.get("attend", True)
+        iccf = B.extract_iccf(F, p.plan, p.attn, attend=attend)
+        imf = B.extract_imf(F)
+        if kw.get("imf_weight_zero"):
+            h = T.concat_channels(iccf, T.scale(imf, 0.0))
+        elif attend:
+            h = A.fuse_pair(iccf, imf, p.pair_fusion)
+        else:
+            h = T.concat_channels(iccf, imf)
+        v = p.reduction.apply(T.mean(h, (1, 3, 4))).data
+        expect = v[0] if len(shape) == 4 else v
+        got = B.extract_actf(F, p, **kw).data
+        assert got.shape == expect.shape
+        np.testing.assert_allclose(got, expect, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(expect)))
+
+    def test_records_no_per_location_map(self):
+        # no tape record holds a (B, t-1, d, H, W)-sized tensor
+        rng = np.random.default_rng(16)
+        n, frames, c, d, h, w = 2, 4, 3, 8, 3, 2
+        p = _params(c_out=c, d=d)
+        f = t(rng.uniform(0.0, 1.0, (n, frames, c, h, w)), grad=True)
+        for kw in ({}, {"attend": False}, {"imf_weight_zero": True}):
+            with T.Tape() as tape:
+                B.extract_actf(B.LowLevelFeature(f), p, **kw)
+            sizes = [out.data.size for _, out, _ in tape._records]
+            assert sizes and max(sizes) < n * (frames - 1) * d * h * w
+
+    def test_plan_must_match_channels(self):
+        # the sketch primitives refuse a plan drawn for another channel count
+        p = _params(c_out=3, d=8)
+        F = B.LowLevelFeature(t(np.zeros((3, 4, 2, 2))))
+        for call in (lambda: B.extract_actf(F, p), lambda: B.extract_iccf(F, p.plan, p.attn)):
+            with pytest.raises(ShapeError, match="input_dim"):
+                call()
+
     def test_pooled_matches_naive_mean(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((6, 4, 3, 5))

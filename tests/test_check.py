@@ -26,7 +26,7 @@ def results():
 
 def test_every_primitive_is_audited(results):
     primitives = _recording_functions(T) | _recording_functions(S)
-    assert {"conv2d", "compact_bilinear", "reshape"} <= primitives
+    assert {"conv2d", "compact_bilinear", "pooled_bilinear", "reshape"} <= primitives
     missing = primitives - {r.name for r in results}
     assert not missing, f"primitives without a gradient check: {sorted(missing)}"
     assert all(r.ok for r in results), [r for r in results if not r.ok]

@@ -40,14 +40,16 @@ class TestPlan:
 
 class TestCountSketch:
     def test_basis_vector(self):
-        # the dense matrices the forward multiplies by hold exactly the
-        # tables the backward gathers through: row j is s[j] at column h[j]
+        # the count sketch of basis vector j through (h, s) is s[j] at
+        # bucket h[j], for both table pairs of the plan
         plan = S.make_plan(8, 16, seed=1)
-        for proj, h, s in ((plan.proj1, plan.h1, plan.s1),
-                           (plan.proj2, plan.h2, plan.s2)):
-            expect = np.zeros((8, 16))
-            expect[np.arange(8), h] = s
-            np.testing.assert_array_equal(proj, expect)
+        for h, s in ((plan.h1, plan.s1), (plan.h2, plan.s2)):
+            for j in range(8):
+                e = np.zeros(8)
+                e[j] = 1.0
+                expect = np.zeros(16)
+                expect[h[j]] = s[j]
+                np.testing.assert_array_equal(S.bucket_sum(e * s, h, 16), expect)
 
     def test_inner_product_estimator(self):
         # unbiased estimator of <x, y>: averaging over 200 independent
@@ -60,8 +62,25 @@ class TestCountSketch:
         ests = []
         for trial in range(200):
             plan = S.make_plan(c, d, seed=trial)
-            ests.append((x @ plan.proj1) @ (y @ plan.proj1))
+            ests.append(S.bucket_sum(x * plan.s1, plan.h1, d)
+                        @ S.bucket_sum(y * plan.s1, plan.h1, d))
         assert abs(np.mean(ests) - exact) / abs(exact) < 0.05
+
+    def test_rows_match_scatter_add(self):
+        rng = np.random.default_rng(3)
+        h = rng.integers(0, 5, size=7)
+        v = rng.standard_normal((2, 3, 7))
+        expect = np.zeros((2, 3, 5))
+        np.add.at(expect, (..., h), v)
+        np.testing.assert_allclose(S.bucket_sum(v, h, 5), expect, rtol=0, atol=1e-14)
+
+    def test_plan_buckets(self):
+        # the flat table of the bucket of every outer-product entry (i, j)
+        plan = S.make_plan(6, 11, seed=4)
+        assert plan.buckets.shape == (36,)
+        for i in range(6):
+            for j in range(6):
+                assert plan.buckets[i * 6 + j] == (plan.h1[i] + plan.h2[j]) % 11
 
 
 class TestCompactBilinear:
@@ -148,6 +167,66 @@ class TestCompactBilinear:
             return T.reshape(T.matmul(T.reshape(out, (1, 8)), proj), ())
 
         assert gradient_error(make_loss, [x, y]) < 1e-6
+
+
+def _scalar_loss(out, w):
+    n = out.data.size
+    return T.reshape(T.matmul(T.reshape(out, (1, n)), t(w.reshape(n, 1))), ())
+
+
+class TestPooledBilinear:
+    @given(p=st.integers(1, 4), c=st.integers(1, 9), n=st.integers(1, 6),
+           d=st.integers(1, 17), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_mean_of_compact_bilinear(self, p, c, n, d, seed):
+        # values and both input gradients equal those of the per-location
+        # maps averaged over locations, including P = 1, L = 1 and C = 1
+        plan = S.make_plan(c, d, seed=seed)
+        rng = np.random.default_rng(seed)
+        x0, y0 = rng.standard_normal((2, p, c, n))
+        w = rng.standard_normal(p * d)
+
+        def run(pooled):
+            x, y = t(x0, grad=True), t(y0, grad=True)
+            with T.Tape() as tape:
+                if pooled:
+                    out = S.pooled_bilinear(x, y, plan)
+                else:
+                    rows = lambda a: T.transpose(a, (0, 2, 1))
+                    out = T.mean(S.compact_bilinear(rows(x), rows(y), plan), (1,))
+                tape.backward(_scalar_loss(out, w))
+            return out.data, x.grad, y.grad
+
+        for got, want in zip(run(True), run(False)):
+            assert got.shape == want.shape
+            scale = max(float(np.max(np.abs(want))), 1e-300)
+            assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+
+    def test_output_shape(self):
+        plan = S.make_plan(4, 10, seed=1)
+        out = S.pooled_bilinear(t(np.ones((3, 4, 5))), t(np.ones((3, 4, 5))), plan)
+        assert out.data.shape == (3, 10)
+
+    def test_operand_mismatch(self):
+        plan = S.make_plan(4, 10, seed=1)
+        with pytest.raises(ShapeError, match="pooled_bilinear"):
+            S.pooled_bilinear(t(np.ones((3, 4, 5))), t(np.ones((3, 4, 6))), plan)
+        with pytest.raises(ShapeError, match="pooled_bilinear"):
+            S.pooled_bilinear(t(np.ones((4, 5))), t(np.ones((4, 5))), plan)
+
+    def test_input_dim_mismatch(self):
+        plan = S.make_plan(4, 10, seed=1)
+        with pytest.raises(ShapeError, match="input_dim"):
+            S.pooled_bilinear(t(np.ones((3, 5, 5))), t(np.ones((3, 5, 5))), plan)
+
+    def test_gradcheck(self):
+        plan = S.make_plan(5, 8, seed=8)
+        rng = np.random.default_rng(9)
+        x = t(rng.standard_normal((2, 5, 3)), grad=True)
+        y = t(rng.standard_normal((2, 5, 3)), grad=True)
+        w = rng.standard_normal(16)
+        assert gradient_error(lambda: _scalar_loss(S.pooled_bilinear(x, y, plan), w),
+                              [x, y]) < 1e-6
 
 
 class TestExactBilinear:
