@@ -2,14 +2,15 @@
 
 A numpy-backed library with a minimal tape autodiff core, a compact bilinear
 (count sketch + circular convolution) inter-frame correlation map, attentive
-feature fusion, synthetic motion tasks, and a momentum-SGD training loop.
+feature fusion, synthetic motion tasks, and a momentum-SGD training loop. On
+the hot path, each frame pair's pooled correlation is the bucket sum of its
+second moment x y^T / L, so no per-location correlation map is formed.
 """
 
 from .tensor import Tensor, Tape
 from .errors import ConfigError, FormatError, InputError, ShapeError
-from .sketch import SketchPlan, make_plan, compact_bilinear, exact_bilinear, pooled_bilinear
+from .sketch import SketchPlan, make_plan, compact_bilinear, pooled_bilinear
 from .attention import (
-    TemporalAttention,
     PairFusionWeights,
     temporal_weights,
     fuse_pair,
@@ -29,7 +30,6 @@ from .model import (
     init_params,
     stpool,
     forward,
-    loss,
     save_checkpoint,
     load_checkpoint,
 )

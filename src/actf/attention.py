@@ -16,39 +16,30 @@ from . import tensor as T
 from .tensor import Tensor
 
 
-@dataclass
-class TemporalAttention:
-    """Shared projection producing one logit per frame-pair feature.
-
-    ``proj`` has shape (feat_dim, 1) and is shared across all pairs.
-    """
-
-    proj: Tensor
-    feat_dim: int
-
-
-def init_temporal_attention(feat_dim: int, rng: np.random.Generator) -> TemporalAttention:
+def init_temporal_attention(feat_dim: int, rng: np.random.Generator) -> Tensor:
+    """The (feat_dim, 1) projection shared by all pairs, giving one logit per pair feature."""
     bound = np.sqrt(3.0 / feat_dim)
-    w = Tensor(rng.uniform(-bound, bound, size=(feat_dim, 1)), requires_grad=True)
-    return TemporalAttention(proj=w, feat_dim=feat_dim)
+    return Tensor(rng.uniform(-bound, bound, size=(feat_dim, 1)), requires_grad=True)
 
 
-def temporal_weights(pairs: Tensor, attn: TemporalAttention) -> Tensor:
+def temporal_weights(pairs: Tensor, proj: Tensor) -> Tensor:
     """Attention weights over frame pairs; each row non-negative, summing to 1.
 
     Pair features (B, t-1, C), or maps (B, t-1, C, H, W) averaged over space,
-    are projected to one logit each, squashed by sigmoid, then normalized by a
-    softmax across the pairs of each video: alpha has shape (B, t-1).
+    are projected by the (C, 1) ``proj`` to one logit each, squashed by
+    sigmoid, then normalized by a softmax across the pairs of each video:
+    alpha has shape (B, t-1).
     """
+    c = proj.data.shape[0]
     if pairs.data.ndim == 5:
         pairs = T.mean(pairs, (3, 4))
-    if pairs.data.ndim != 3 or pairs.data.shape[2] != attn.feat_dim:
+    if pairs.data.ndim != 3 or pairs.data.shape[2] != c:
         raise ShapeError(
             f"temporal_weights: pair features {pairs.data.shape} are not "
-            f"(B, t-1, {attn.feat_dim}) or (B, t-1, {attn.feat_dim}, H, W)"
+            f"(B, t-1, {c}) or (B, t-1, {c}, H, W)"
         )
     b, p = pairs.data.shape[:2]
-    logits = T.reshape(T.matmul(T.reshape(pairs, (b * p, attn.feat_dim)), attn.proj), (b, p))
+    logits = T.reshape(T.matmul(T.reshape(pairs, (b * p, c)), proj), (b, p))
     return T.softmax(T.sigmoid(logits))
 
 

@@ -21,12 +21,7 @@ from .errors import InputError, ShapeError
 from . import tensor as T
 from .tensor import Tensor
 from .sketch import SketchPlan, compact_bilinear, pooled_bilinear
-from .attention import (
-    PairFusionWeights,
-    TemporalAttention,
-    fuse_pair,
-    temporal_weights,
-)
+from .attention import PairFusionWeights, fuse_pair, temporal_weights
 
 
 @dataclass
@@ -59,14 +54,6 @@ class LowLevelFeature:
     def frames(self) -> int:
         return self.tensor.data.shape[-4]
 
-    @property
-    def channels(self) -> int:
-        return self.tensor.data.shape[-3]
-
-    @property
-    def spatial(self) -> tuple:
-        return self.tensor.data.shape[-2:]
-
 
 @dataclass
 class ReductionNetwork:
@@ -91,7 +78,7 @@ def init_reduction(in_dim: int, r1: int, r2: int, out_dim: int,
     def layer(fan_in, fan_out):
         bound = np.sqrt(3.0 / fan_in)
         w = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=True)
-        b = Tensor(np.zeros((1, fan_out)), requires_grad=True)
+        b = Tensor(np.zeros(fan_out), requires_grad=True)
         return w, b
 
     w1, b1 = layer(in_dim, r1)
@@ -105,7 +92,7 @@ class ActfParams:
     """Everything learnable (plus the frozen sketch plan) in the temporal branch."""
 
     plan: SketchPlan
-    attn: TemporalAttention
+    attn: Tensor               # (d, 1) temporal attention projection
     pair_fusion: PairFusionWeights
     reduction: ReductionNetwork
 
@@ -116,7 +103,7 @@ def _frame_pairs(x: Tensor):
     return T.frame_slice(x, 0, t - 1), T.frame_slice(x, 1, t)
 
 
-def extract_iccf(F: LowLevelFeature, plan: SketchPlan, attn: TemporalAttention,
+def extract_iccf(F: LowLevelFeature, plan: SketchPlan, attn: Tensor,
                  attend: bool = True) -> Tensor:
     """Per-pair compact bilinear correlation (B, t-1, d, H, W), each pair scaled
     by its temporal attention weight; with ``attend`` off every weight is 1."""

@@ -15,13 +15,8 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from .tensor import Tape, Tensor
-from .sketch import compact_bilinear, exact_bilinear, make_plan, pooled_bilinear
-from .attention import (
-    TemporalAttention,
-    PairFusionWeights,
-    fuse_pair,
-    temporal_weights,
-)
+from .sketch import compact_bilinear, make_plan, pooled_bilinear
+from .attention import PairFusionWeights, fuse_pair, temporal_weights
 
 PRIMITIVE_TOL = 1e-4
 MODEL_TOL = 1e-3
@@ -152,7 +147,7 @@ def run_audit(seed: int = 0) -> list:
 
     xl = _param(rng, (3, 4))
     wl = _param(rng, (4, 2))
-    bl = _param(rng, (1, 2))
+    bl = _param(rng, (2,))
     w = rng.standard_normal(6)
     check("linear", lambda: _scalarize(T.linear(xl, wl, bl), w), [xl, wl, bl])
 
@@ -172,15 +167,13 @@ def run_audit(seed: int = 0) -> list:
           lambda: _scalarize(compact_bilinear(bx, by, plan), wb), [bx, by])
     px, py = _param(rng, (3, 12, 5)), _param(rng, (3, 12, 5))
     check("pooled_bilinear", lambda: _scalarize(pooled_bilinear(px, py, plan), wb), [px, py])
-    w = rng.standard_normal(144)
-    check("exact_bilinear", lambda: _scalarize(exact_bilinear(sx, sy), w), [sx, sy])
 
-    attn = TemporalAttention(proj=_param(rng, (6, 1)), feat_dim=6)
+    proj = _param(rng, (6, 1))
     pairs = _param(rng, (2, 3, 6, 2, 2))
     w = rng.standard_normal(6)
     check("temporal_weights",
-          lambda: _scalarize(temporal_weights(pairs, attn), w),
-          [pairs, attn.proj])
+          lambda: _scalarize(temporal_weights(pairs, proj), w),
+          [pairs, proj])
 
     fw = PairFusionWeights(raw_a=_param(rng, ()), raw_b=_param(rng, ()))
     fa = _param(rng, (2, 8))
@@ -194,12 +187,10 @@ def run_audit(seed: int = 0) -> list:
     return results
 
 
-def model_audit(seed: int = 0,
-                dims: M.ModelDims | None = None) -> CheckResult:
+def model_audit(seed: int = 0) -> CheckResult:
     """End-to-end check through forward + loss over all trainable parameters."""
-    if dims is None:
-        dims = M.ModelDims(frames=4, height=16, width=16, conv1_channels=3,
-                           out_channels=8, sketch_dim=32, n_classes=3)
+    dims = M.ModelDims(frames=4, height=16, width=16, conv1_channels=3,
+                       out_channels=8, sketch_dim=32, n_classes=3)
     rng = np.random.default_rng(seed)
     params = M.init_params(dims, seed, "full")
     # Move fusion scalars off the symmetric zero init so their gradients are
@@ -210,5 +201,5 @@ def model_audit(seed: int = 0,
     videos = Tensor(rng.uniform(0, 1, size=(2, dims.frames, 3, dims.height, dims.width)))
     labels = [1, 2]
     leaves = [t for _, t, _ in M.trainable_parameters(params)]
-    err = gradient_error(lambda: M.loss(M.forward(videos, params), labels), leaves)
+    err = gradient_error(lambda: T.cross_entropy(M.forward(videos, params), labels), leaves)
     return CheckResult("model_end_to_end", err, MODEL_TOL)

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 numeric/check failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -34,8 +35,17 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _is_a(want: type, v) -> bool:
+    # An int may stand for a float; a bool is not an int here.
+    return type(v) in ((int, float) if want is float else (want,))
+
+
 def _merge_config(args, defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
+    """defaults < config file < explicit flags.
+
+    A file value must have its default's type, and each element of a list
+    value the type of the default's elements.
+    """
     cfg = dict(defaults)
     if args.config:
         with open(args.config) as f:
@@ -46,11 +56,12 @@ def _merge_config(args, defaults: dict) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, v in loaded.items():
-            # An int may stand for a float; a bool is not an int here.
-            want = type(defaults[key])
-            if type(v) not in ((int, float) if want is float else (want,)):
+            default = defaults[key]
+            elem = type(default[0]) if isinstance(default, list) else None
+            if not _is_a(type(default), v) or (elem and not all(_is_a(elem, x) for x in v)):
+                want = f"list of {elem.__name__}" if elem else type(default).__name__
                 raise ConfigError(
-                    f"config key {key!r}: expected {want.__name__}, got {type(v).__name__} {v!r}"
+                    f"config key {key!r}: expected {want}, got {type(v).__name__} {v!r}"
                 )
         cfg.update(loaded)
     for key in defaults:
@@ -145,9 +156,9 @@ def cmd_train(args) -> int:
     params, report = _train_one(cfg, cfg["variant"], train_set, eval_set, dims, tcfg)
     os.makedirs(args.out, exist_ok=True)
     M.save_checkpoint(os.path.join(args.out, "checkpoint.ckpt"), params)
-    header = f"# config_hash={h}\n# seed={cfg['seed']}\n"
-    atomic_write_text(os.path.join(args.out, "train_report.tsv"),
-                      header + report.to_tsv())
+    _write_table(os.path.join(args.out, "train_report.tsv"), h, cfg["seed"],
+                 [f.name for f in dataclasses.fields(TR.EpochRecord)],
+                 [dataclasses.astuple(r) for r in report.epochs])
     final_train, final_eval = _final_accuracies(report, params, eval_set)
     _write_table(os.path.join(args.out, "metrics.tsv"), h, cfg["seed"],
                  ("variant", "train_acc", "eval_acc"),
@@ -205,6 +216,11 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"dataset sample shapes {sorted(conflicting)} conflict with checkpoint dims {expected}"
         )
+    outside = sorted({label for _, label in dataset} - set(range(d.n_classes)))
+    if outside:
+        raise ConfigError(
+            f"dataset labels {outside} are not classes of the checkpoint, [0, {d.n_classes})"
+        )
     videos, labels = TR.stack_dataset(dataset)
     preds = np.argmax(TR.predict(params, videos), axis=1)
     n_classes = d.n_classes
@@ -241,6 +257,8 @@ _SKETCHBENCH_DEFAULTS = {
 
 def cmd_sketchbench(args) -> int:
     cfg = _merge_config(args, _SKETCHBENCH_DEFAULTS)
+    if cfg["trials"] < 1:
+        raise ConfigError(f"sketchbench: trials must be >= 1, got {cfg['trials']}")
     h = _config_hash(cfg)
     c = cfg["input_dim"]
     rows = []
@@ -350,7 +368,7 @@ def main(argv=None) -> int:
     except (ConfigError, FormatError, FileNotFoundError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ShapeError, InputError, RuntimeError, FloatingPointError) as e:
+    except (ShapeError, InputError, RuntimeError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 1
 

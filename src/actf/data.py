@@ -250,7 +250,12 @@ def load_dataset(manifest_path):
                 continue
             try:
                 path, label = line.split("\t")
+                label = int(label)
             except ValueError:
-                raise FormatError(f"manifest line {line_no}: expected 'path<TAB>label'")
-            samples.append((read_tensor(os.path.join(base, path)), int(label)))
+                raise FormatError(
+                    f"manifest line {line_no}: expected 'path<TAB>integer label', got {line!r}"
+                )
+            samples.append((read_tensor(os.path.join(base, path)), label))
+    if not samples:
+        raise FormatError(f"manifest {manifest_path}: no records")
     return samples

@@ -10,7 +10,7 @@ branch. Ablation variants disable individual stages to isolate its effect.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from .branch import (
     extract_actf,
     init_reduction,
 )
-
-VARIANTS = ("full", "single-actf", "iccf-only", "no-attn", "spatial-only")
 
 
 @dataclass(frozen=True)
@@ -201,9 +199,16 @@ def forward(videos: Tensor, params: ModelParams) -> Tensor:
     return T.linear(v, params.clf_w, params.clf_b)
 
 
-def loss(logits: Tensor, labels) -> Tensor:
-    """Mean softmax cross-entropy of logits (B, classes) against B class indices."""
-    return T.cross_entropy(logits, labels)
+# Each variant, with the parameter groups (name prefixes in `named_tensors`)
+# that its `forward` never reaches: they get no gradient and are not trained.
+_UNREACHED = {
+    "full": (),
+    "single-actf": ("final_fusion",),
+    "iccf-only": ("pair_fusion",),
+    "no-attn": ("attn", "pair_fusion", "final_fusion"),
+    "spatial-only": ("attn", "pair_fusion", "reduction", "final_fusion"),
+}
+VARIANTS = tuple(_UNREACHED)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +223,7 @@ def named_tensors(params: ModelParams):
         ("backbone.b1", params.backbone.b1),
         ("backbone.w2", params.backbone.w2),
         ("backbone.b2", params.backbone.b2),
-        ("attn.proj", params.actf.attn.proj),
+        ("attn.proj", params.actf.attn),
         ("pair_fusion.raw_a", params.actf.pair_fusion.raw_a),
         ("pair_fusion.raw_b", params.actf.pair_fusion.raw_b),
         ("reduction.w1", r.w1),
@@ -237,38 +242,14 @@ def named_tensors(params: ModelParams):
 def trainable_parameters(params: ModelParams):
     """(name, tensor, weight_decay?) triples reached by the variant's forward.
 
-    Weight decay applies to weight matrices only; biases and the raw fusion
-    scalars are exempt (decaying fusion logits toward the neutral split would
-    be a modeling choice, not regularization).
+    Weight decay applies to the tensors of rank >= 2, the weight matrices and
+    kernels; biases and the raw fusion scalars are exempt (decaying fusion
+    logits toward the neutral split would be a modeling choice, not
+    regularization).
     """
-    variant = params.variant
-    out = [
-        ("backbone.w1", params.backbone.w1, True),
-        ("backbone.b1", params.backbone.b1, False),
-        ("backbone.w2", params.backbone.w2, True),
-        ("backbone.b2", params.backbone.b2, False),
-    ]
-    if variant != "spatial-only":
-        r = params.actf.reduction
-        if variant != "no-attn":
-            out.append(("attn.proj", params.actf.attn.proj, True))
-        if variant in ("full", "single-actf"):
-            out.append(("pair_fusion.raw_a", params.actf.pair_fusion.raw_a, False))
-            out.append(("pair_fusion.raw_b", params.actf.pair_fusion.raw_b, False))
-        out += [
-            ("reduction.w1", r.w1, True),
-            ("reduction.b1", r.b1, False),
-            ("reduction.w2", r.w2, True),
-            ("reduction.b2", r.b2, False),
-            ("reduction.w3", r.w3, True),
-            ("reduction.b3", r.b3, False),
-        ]
-        if variant in ("full", "iccf-only"):
-            out.append(("final_fusion.raw_a", params.final_fusion.raw_a, False))
-            out.append(("final_fusion.raw_b", params.final_fusion.raw_b, False))
-    out.append(("clf.w", params.clf_w, True))
-    out.append(("clf.b", params.clf_b, False))
-    return out
+    unreached = _UNREACHED[params.variant]
+    return [(name, t, t.data.ndim >= 2) for name, t in named_tensors(params)
+            if name.split(".")[0] not in unreached]
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +266,8 @@ def save_checkpoint(path, params: ModelParams) -> None:
     from .data import tensor_to_bytes
     from ._io import atomic_write_bytes
 
-    d = params.dims
     meta = {
-        "dims": {
-            "frames": d.frames, "height": d.height, "width": d.width,
-            "conv1_channels": d.conv1_channels, "out_channels": d.out_channels,
-            "sketch_dim": d.sketch_dim, "n_classes": d.n_classes,
-            "in_channels": d.in_channels, "reduce1": d.reduce1, "reduce2": d.reduce2,
-        },
+        "dims": asdict(params.dims),
         "seed": params.seed,
         "variant": params.variant,
         "plan": {
@@ -355,6 +330,7 @@ def load_checkpoint(path) -> ModelParams:
                 f"checkpoint tensor {name!r} has {t.data.size} values, "
                 f"expected {target.data.size}"
             )
+        # By size: older files store the reduction biases as (1, M) rows.
         target.data = t.data.reshape(target.data.shape)
     if offset != len(raw):
         raise FormatError(f"at byte {offset}: {len(raw) - offset} trailing bytes after the last tensor")

@@ -113,19 +113,3 @@ def pooled_bilinear(x: Tensor, y: Tensor, plan: SketchPlan) -> Tensor:
 
     out = bucket_sum(m.reshape(p, c * c), plan.buckets, plan.output_dim) / n
     return apply_primitive(out, (x, y), backward)
-
-
-def exact_bilinear(x: Tensor, y: Tensor) -> Tensor:
-    """Flattened outer product x y^T; the brute-force oracle for the compact form."""
-    if x.data.ndim != 1 or x.data.shape != y.data.shape:
-        raise ShapeError(
-            f"exact_bilinear: expected equal-length vectors, got {x.data.shape} and {y.data.shape}"
-        )
-    n = x.data.shape[0]
-    xd, yd = x.data, y.data
-
-    def backward(g):
-        gm = g.reshape(n, n)
-        return gm @ yd, gm.T @ xd
-
-    return apply_primitive(np.outer(xd, yd).reshape(-1), (x, y), backward)

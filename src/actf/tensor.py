@@ -165,17 +165,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map of each row: x (N, K) @ w (K, M) + b, with b of shape (M,) or (1, M)."""
+    """Affine map of each row: x (N, K) @ w (K, M) + b, with b of shape (M,)."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"linear: incompatible shapes {x.data.shape} and {w.data.shape}")
-    if b.data.shape not in ((w.data.shape[1],), (1, w.data.shape[1])):
+    if b.data.shape != w.data.shape[1:]:
         raise ShapeError(f"linear: bias shape {b.data.shape} does not match {w.data.shape}")
-    xd, wd, bshape = x.data, w.data, b.data.shape
+    xd, wd = x.data, w.data
 
     def backward(g):
-        return g @ wd.T, xd.T @ g, g.sum(axis=0).reshape(bshape)
+        return g @ wd.T, xd.T @ g, g.sum(axis=0)
 
-    return apply_primitive(xd @ wd + b.data.reshape(-1), (x, w, b), backward)
+    return apply_primitive(xd @ wd + b.data, (x, w, b), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from . import model as M
-from .tensor import Tape, Tensor
+from .tensor import Tape, Tensor, cross_entropy
 
 
 @dataclass(frozen=True)
@@ -79,15 +79,7 @@ class EpochRecord:
 
 @dataclass
 class TrainReport:
-    config: TrainConfig
-    epochs: list = field(default_factory=list)
-
-    def to_tsv(self) -> str:
-        lines = ["epoch\tlr\tloss\ttrain_acc\teval_acc"]
-        for r in self.epochs:
-            lines.append(f"{r.epoch}\t{r.lr:.10g}\t{r.loss:.10g}"
-                         f"\t{r.train_acc:.10g}\t{r.eval_acc:.10g}")
-        return "\n".join(lines) + "\n"
+    epochs: list = field(default_factory=list)   # one EpochRecord per epoch
 
 
 # Videos per untaped forward in `predict`; bounds evaluation memory.
@@ -123,7 +115,7 @@ def fit(params: M.ModelParams, dataset, cfg: TrainConfig, eval_set=None) -> Trai
     videos, labels = stack_dataset(dataset)
     rng = np.random.default_rng(cfg.seed)
     optimizer = SgdOptimizer(M.trainable_parameters(params), cfg)
-    report = TrainReport(config=cfg)
+    report = TrainReport()
     n = len(dataset)
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
@@ -134,7 +126,7 @@ def fit(params: M.ModelParams, dataset, cfg: TrainConfig, eval_set=None) -> Trai
             batch = order[start:start + cfg.batch_size]
             with Tape() as tape:
                 logits = M.forward(Tensor(videos[batch]), params)
-                batch_loss = M.loss(logits, labels[batch])
+                batch_loss = cross_entropy(logits, labels[batch])
                 tape.backward(batch_loss)
             correct += int(np.sum(np.argmax(logits.data, axis=1) == labels[batch]))
             total_loss += float(batch_loss.data) * len(batch)

@@ -28,22 +28,23 @@ class TestTemporalWeights:
 
     def test_zero_projection_uniform(self):
         rng = np.random.default_rng(1)
-        attn = A.TemporalAttention(t(np.zeros((5, 1)), grad=True), 5)
-        alpha = A.temporal_weights(_pairs(rng, 4, 5, 2, 2), attn).data
+        proj = t(np.zeros((5, 1)), grad=True)
+        alpha = A.temporal_weights(_pairs(rng, 4, 5, 2, 2), proj).data
         np.testing.assert_allclose(alpha, 0.25, atol=1e-12)
 
     def test_manual_composition(self):
         # hand-evaluate pool -> project -> sigmoid -> softmax for two pairs
         rng = np.random.default_rng(2)
         c, h, w = 3, 2, 2
-        attn = A.init_temporal_attention(c, rng)
+        proj = A.init_temporal_attention(c, rng)
+        assert proj.data.shape == (c, 1)
         pairs = _pairs(rng, 2, c, h, w)
-        alpha = A.temporal_weights(pairs, attn).data
+        alpha = A.temporal_weights(pairs, proj).data
 
         logits = []
         for p in pairs.data[0]:
             pooled = p.mean(axis=(1, 2))
-            raw = float(pooled @ attn.proj.data[:, 0])
+            raw = float(pooled @ proj.data[:, 0])
             logits.append(1.0 / (1.0 + np.exp(-raw)))
         logits = np.array(logits)
         expect = np.exp(logits) / np.exp(logits).sum()
@@ -84,12 +85,11 @@ class TestTemporalWeights:
     def test_gradient_flow(self):
         rng = np.random.default_rng(5)
         proj = t(rng.standard_normal((3, 1)), grad=True)
-        attn = A.TemporalAttention(proj, 3)
         pairs = _pairs(rng, 3, 3, 2, 2)
         coef = t(rng.standard_normal((3, 1)))
 
         def make_loss():
-            alpha = A.temporal_weights(pairs, attn)
+            alpha = A.temporal_weights(pairs, proj)
             return T.reshape(T.matmul(T.reshape(alpha, (1, 3)), coef), ())
 
         assert gradient_error(make_loss, [proj]) < 1e-4

@@ -44,9 +44,7 @@ class TestLowLevelFeature:
         for shape in ((8, 16, 7, 7), (3, 8, 16, 7, 7)):
             F = B.LowLevelFeature(t(np.zeros(shape)))
             assert F.frames == 8
-            assert F.channels == 16
-            assert F.spatial == (7, 7)
-            assert F.batch.data.shape[0] == (1 if len(shape) == 4 else 3)
+            assert F.batch.data.shape == (1 if len(shape) == 4 else 3, 8, 16, 7, 7)
 
 
 class TestIccf:

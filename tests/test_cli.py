@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -42,10 +43,13 @@ def test_train_writes_outputs(tmp_path, tiny_cfg):
     assert rc == 0
     for name in ("checkpoint.ckpt", "train_report.tsv", "metrics.tsv"):
         assert os.path.exists(os.path.join(out, name)), name
-    lines = open(os.path.join(out, "metrics.tsv")).read().splitlines()
-    assert lines[0].startswith("# config_hash=")
-    assert lines[1].startswith("# seed=")
-    assert lines[2].split("\t") == ["variant", "train_acc", "eval_acc"]
+    for name, columns in (("metrics.tsv", ["variant", "train_acc", "eval_acc"]),
+                          ("train_report.tsv", ["epoch", "lr", "loss", "train_acc", "eval_acc"])):
+        lines = open(os.path.join(out, name)).read().splitlines()
+        assert lines[0].startswith("# config_hash="), name
+        assert lines[1] == "# seed=0", name
+        assert lines[2].split("\t") == columns, name
+        assert len(lines) == 4, name   # one variant; one epoch
 
 
 def test_train_zero_epochs_checkpoint_is_init(tmp_path, tiny_cfg):
@@ -167,6 +171,27 @@ def test_eval_manifest_round_trip(tmp_path, tiny_cfg):
     assert rc == 0
 
 
+@pytest.mark.parametrize("label, message", [
+    ("x", "manifest line 1: expected 'path<TAB>integer label'"),
+    ("-1", "dataset labels [-1] are not classes of the checkpoint"),
+    ("9", "dataset labels [9] are not classes of the checkpoint"),
+], ids=["not-int", "negative", "past-last-class"])
+def test_eval_refuses_bad_manifest_label(tmp_path, tiny_cfg, capsys, label, message):
+    out = str(tmp_path / "out")
+    assert cli.main(["train", "--config", tiny_cfg, "--out", out, "--epochs", "0"]) == 0
+    ds = D.generate(D.SyntheticTask(kind="direction4", frames=4, height=16,
+                                    width=16, per_class=1, seed=9))
+    manifest = pathlib.Path(D.save_dataset(tmp_path / "data", ds))
+    records = manifest.read_text().splitlines()
+    records[0] = records[0].split("\t")[0] + "\t" + label
+    manifest.write_text("\n".join(records) + "\n")
+    rc = cli.main(["eval", "--checkpoint", os.path.join(out, "checkpoint.ckpt"),
+                   "--manifest", str(manifest), "--out", str(tmp_path / "ev")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "ev")
+
+
 def test_eval_refuses_conflicting_dims(tmp_path, tiny_cfg):
     out = str(tmp_path / "out")
     assert cli.main(["train", "--config", tiny_cfg, "--out", out]) == 0
@@ -202,7 +227,7 @@ def test_malformed_config_json(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("frames", "8"), ("frames", 8.0), ("frames", True), ("decay_epochs", 3),
-    ("variant", 1), ("lr0", "0.1"),
+    ("variant", 1), ("lr0", "0.1"), ("decay_epochs", ["a"]), ("decay_epochs", [1.5]),
 ])
 def test_config_value_of_wrong_type(tmp_path, capsys, key, value):
     bad = tmp_path / "bad.json"
@@ -256,6 +281,17 @@ def test_sketchbench_writes_table(tmp_path):
     lines = open(os.path.join(out, "sketchbench.tsv")).read().splitlines()
     assert lines[2].split("\t")[0] == "d"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("key, value", [
+    ("output_dims", ["a"]), ("output_dims", [True]), ("trials", 0),
+])
+def test_sketchbench_refuses_bad_config(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input_dim": 8, "output_dims": [16], "trials": 2, key: value}))
+    rc = cli.main(["sketchbench", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
 
 
 def test_gradcheck_exits_zero():

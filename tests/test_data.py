@@ -165,3 +165,9 @@ class TestDatasetFiles:
             assert la == lb
             np.testing.assert_array_equal(
                 va.data.astype(np.float32), vb.data.astype(np.float32))
+
+    def test_empty_manifest_rejected(self, tmp_path):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("\n")
+        with pytest.raises(FormatError, match="no records"):
+            D.load_dataset(manifest)

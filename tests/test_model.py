@@ -74,7 +74,7 @@ class TestForward:
         assert not np.allclose(fwd, rev, atol=1e-8)
 
     def test_loss_uniform_logits(self):
-        val = M.loss(t(np.zeros((3, 4))), [0, 2, 3])
+        val = T.cross_entropy(t(np.zeros((3, 4))), [0, 2, 3])
         assert float(val.data) == pytest.approx(np.log(4.0), abs=1e-12)
 
 
@@ -140,9 +140,20 @@ class TestVariants:
         p = M.init_params(dims, 4, "no-attn")
         video = t(np.random.default_rng(4).standard_normal((1, 4, 3, 16, 16)))
         a = M.forward(video, p).data.copy()
-        p.actf.attn.proj.data += 2.0
+        p.actf.attn.data += 2.0
         b = M.forward(video, p).data
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_trainable_set_is_what_forward_reaches(self, variant):
+        # the table of unreached groups agrees with `forward`: exactly the
+        # trainable tensors get a gradient from one taped step
+        p = M.init_params(tiny_dims(), 5, variant)
+        videos = t(np.random.default_rng(5).uniform(0.0, 1.0, (2, 4, 3, 16, 16)))
+        with T.Tape() as tape:
+            tape.backward(T.cross_entropy(M.forward(videos, p), [0, 2]))
+        reached = [name for name, x in M.named_tensors(p) if x.grad is not None]
+        assert [name for name, _, _ in M.trainable_parameters(p)] == reached
 
 
 class TestDecayFlags:
@@ -169,6 +180,24 @@ class TestCheckpoint:
             assert na == nb
             np.testing.assert_array_equal(
                 ta.data.astype(np.float32), tb.data.astype(np.float32))
+
+    def test_row_reduction_biases_still_load(self, tmp_path):
+        # checkpoints written while the reduction biases were (1, M) rows load
+        # by size into (M,) biases and give the same logits
+        p = M.init_params(tiny_dims(), 9, "full")
+        rng = np.random.default_rng(9)
+        biases = (p.actf.reduction.b1, p.actf.reduction.b2, p.actf.reduction.b3)
+        for b in biases:
+            b.data = rng.standard_normal(b.data.shape)
+        M.save_checkpoint(tmp_path / "flat.ckpt", p)
+        for b in biases:
+            b.data = b.data[None]
+        M.save_checkpoint(tmp_path / "row.ckpt", p)
+        flat, row = (M.load_checkpoint(tmp_path / f) for f in ("flat.ckpt", "row.ckpt"))
+        r = row.actf.reduction
+        assert [b.data.shape for b in (r.b1, r.b2, r.b3)] == [b.data.shape[1:] for b in biases]
+        video = t(rng.uniform(0.0, 1.0, (2, 4, 3, 16, 16)))
+        np.testing.assert_array_equal(M.forward(video, row).data, M.forward(video, flat).data)
 
     def test_forward_agrees_after_reload(self, tmp_path):
         dims = tiny_dims()

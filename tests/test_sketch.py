@@ -227,34 +227,3 @@ class TestPooledBilinear:
         w = rng.standard_normal(16)
         assert gradient_error(lambda: _scalar_loss(S.pooled_bilinear(x, y, plan), w),
                               [x, y]) < 1e-6
-
-
-class TestExactBilinear:
-    def test_basis_outer(self):
-        out = S.exact_bilinear(t([1.0, 0.0]), t([0.0, 1.0])).data
-        np.testing.assert_array_equal(out, [0.0, 1.0, 0.0, 0.0])
-
-    def test_rank_one_symmetry(self):
-        x = t([1.0, 2.0])
-        np.testing.assert_array_equal(S.exact_bilinear(x, x).data,
-                                      [1.0, 2.0, 2.0, 4.0])
-
-    def test_inner_product_identity(self):
-        rng = np.random.default_rng(10)
-        x, u = rng.standard_normal((2, 9))
-        y, v = rng.standard_normal((2, 9))
-        lhs = S.exact_bilinear(t(x), t(y)).data @ \
-            S.exact_bilinear(t(u), t(v)).data
-        assert lhs == pytest.approx((x @ u) * (y @ v), abs=1e-10)
-
-    def test_gradcheck(self):
-        rng = np.random.default_rng(11)
-        x = t(rng.standard_normal(4), grad=True)
-        y = t(rng.standard_normal(4), grad=True)
-        proj = t(rng.standard_normal((16, 1)))
-
-        def make_loss():
-            out = S.exact_bilinear(x, y)
-            return T.reshape(T.matmul(T.reshape(out, (1, 16)), proj), ())
-
-        assert gradient_error(make_loss, [x, y]) < 1e-6

@@ -147,13 +147,15 @@ class TestMean:
 class TestLinear:
     def test_matches_matmul_plus_bias(self):
         rng = np.random.default_rng(23)
-        x, w, b = (rng.standard_normal(s) for s in ((3, 4), (4, 2), (1, 2)))
+        x, w, b = (rng.standard_normal(s) for s in ((3, 4), (4, 2), (2,)))
         np.testing.assert_allclose(T.linear(t(x), t(w), t(b)).data, x @ w + b,
                                    atol=1e-12)
 
     def test_bias_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            T.linear(t(np.zeros((3, 4))), t(np.zeros((4, 2))), t(np.zeros(3)))
+        # one bias shape only: a (1, M) row is refused, not broadcast
+        for shape in ((3,), (1, 2)):
+            with pytest.raises(ShapeError):
+                T.linear(t(np.zeros((3, 4))), t(np.zeros((4, 2))), t(np.zeros(shape)))
 
     def test_gradcheck(self):
         rng = np.random.default_rng(24)
