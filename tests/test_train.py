@@ -1,8 +1,12 @@
 """Optimizer, learning-rate schedule, and training-loop tests."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
+from actf import cli
 from actf import model as M
 from actf import train as TR
 from actf import data as D
@@ -164,3 +168,18 @@ class TestFit:
                 [t.data.ravel() for _, t in M.named_tensors(p)]))
         assert reports[0] == reports[1]
         np.testing.assert_array_equal(finals[0], finals[1])
+
+    def test_tsv_has_header(self, tmp_path):
+        # a zero-epoch run still writes the epoch table's column header
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "frames": 4, "height": 16, "width": 16, "train_per_class": 1,
+            "eval_per_class": 1, "conv1_channels": 3, "out_channels": 8,
+            "sketch_dim": 32, "epochs": 0, "seed": 0}))
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "train_report.tsv").read_text().splitlines()
+        assert lines[2].split("\t") == [
+            f.name for f in dataclasses.fields(TR.EpochRecord)]
+        assert "epoch" in lines[2] and "\t" in lines[2]
+        assert len(lines) == 3
