@@ -1,7 +1,7 @@
 """Finite-difference gradient auditing.
 
-Compares tape gradients against central finite differences (default step
-1e-5, in f64) using a norm-based relative error over all checked leaves.
+Compares tape gradients against central finite differences (step FD_STEP,
+in f64) using a norm-based relative error over all checked leaves.
 ``run_audit`` covers every differentiable primitive plus the end-to-end model
 at tiny dimensions; the CLI ``gradcheck`` command is a thin wrapper over it.
 """
@@ -20,6 +20,7 @@ from .attention import PairFusionWeights, fuse_pair, temporal_weights
 
 PRIMITIVE_TOL = 1e-4
 MODEL_TOL = 1e-3
+FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class CheckResult:
         return self.err < self.tol
 
 
-def gradient_error(make_loss, leaves, step: float = 1e-5) -> float:
+def gradient_error(make_loss, leaves) -> float:
     """Norm-based relative error between tape and finite-difference gradients.
 
     ``make_loss`` must rebuild the scalar loss from the leaves' current data
@@ -59,14 +60,14 @@ def gradient_error(make_loss, leaves, step: float = 1e-5) -> float:
         g = np.zeros_like(flat)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + FD_STEP
             leaf.data = flat.reshape(shape).copy()
             f_plus = float(make_loss().data)
-            flat[i] = orig - step
+            flat[i] = orig - FD_STEP
             leaf.data = flat.reshape(shape).copy()
             f_minus = float(make_loss().data)
             flat[i] = orig
-            g[i] = (f_plus - f_minus) / (2 * step)
+            g[i] = (f_plus - f_minus) / (2 * FD_STEP)
         leaf.data = base
         numeric.append(g)
     numeric = np.concatenate(numeric)

@@ -63,9 +63,11 @@ def _merge_config(args, defaults: dict) -> dict:
                 raise ConfigError(
                     f"config key {key!r}: expected {want}, got {type(v).__name__} {v!r}"
                 )
+        if loaded.get("seed", 0) < 0:
+            raise ConfigError(f"config key 'seed': must be >= 0, got {loaded['seed']}")
         cfg.update(loaded)
     for key in defaults:
-        v = getattr(args, key.replace("-", "_"), None)
+        v = getattr(args, key, None)
         if v is not None:
             cfg[key] = v
     return cfg
@@ -80,9 +82,6 @@ def _write_table(path, cfg_hash: str, seed, columns, rows) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-_TASK_KEYS = ("task", "frames", "height", "width", "train_per_class",
-              "eval_per_class", "noise")
-
 _EXPERIMENT_DEFAULTS = {
     "task": "direction4",
     "frames": 8,
@@ -94,8 +93,6 @@ _EXPERIMENT_DEFAULTS = {
     "conv1_channels": 8,
     "out_channels": 64,
     "sketch_dim": 256,
-    "reduce1": 0,
-    "reduce2": 0,
     "variant": "full",
     "lr0": 0.05,
     "momentum": 0.9,
@@ -124,7 +121,6 @@ def _build_experiment(cfg: dict):
         frames=cfg["frames"], height=cfg["height"], width=cfg["width"],
         conv1_channels=cfg["conv1_channels"], out_channels=cfg["out_channels"],
         sketch_dim=cfg["sketch_dim"], n_classes=train_task.n_classes,
-        reduce1=cfg["reduce1"], reduce2=cfg["reduce2"],
     )
     tcfg = TR.TrainConfig(
         lr0=cfg["lr0"], momentum=cfg["momentum"], weight_decay=cfg["weight_decay"],
@@ -134,17 +130,9 @@ def _build_experiment(cfg: dict):
     return train_task, eval_task, dims, tcfg
 
 
-def _train_one(cfg, variant, train_set, eval_set, dims, tcfg):
-    params = M.init_params(dims, cfg["seed"], variant)
-    report = TR.fit(params, train_set, tcfg, eval_set=eval_set)
-    return params, report
-
-
-def _final_accuracies(report, params, eval_set):
-    """(train_acc, eval_acc) of the last epoch; with no epochs, NaN and the initial model's."""
-    if report.epochs:
-        return report.epochs[-1].train_acc, report.epochs[-1].eval_acc
-    return float("nan"), TR.evaluate(params, eval_set)
+def _last_epoch(report, name):
+    """Field `name` of the last epoch's record; NaN when no epoch ran."""
+    return getattr(report.epochs[-1], name) if report.epochs else float("nan")
 
 
 def cmd_train(args) -> int:
@@ -153,13 +141,19 @@ def cmd_train(args) -> int:
     train_task, eval_task, dims, tcfg = _build_experiment(cfg)
     train_set = D.generate(train_task)
     eval_set = D.generate(eval_task)
-    params, report = _train_one(cfg, cfg["variant"], train_set, eval_set, dims, tcfg)
+    params = M.init_params(dims, cfg["seed"], cfg["variant"])
+    report = TR.fit(params, train_set, tcfg, eval_set=eval_set)
     os.makedirs(args.out, exist_ok=True)
-    M.save_checkpoint(os.path.join(args.out, "checkpoint.ckpt"), params)
     _write_table(os.path.join(args.out, "train_report.tsv"), h, cfg["seed"],
                  [f.name for f in dataclasses.fields(TR.EpochRecord)],
                  [dataclasses.astuple(r) for r in report.epochs])
-    final_train, final_eval = _final_accuracies(report, params, eval_set)
+    diverged = [r for r in report.epochs if not np.isfinite(r.loss)]
+    if diverged:
+        raise RuntimeError(f"training diverged: loss {diverged[0].loss} at epoch "
+                           f"{diverged[0].epoch}; no checkpoint written")
+    M.save_checkpoint(os.path.join(args.out, "checkpoint.ckpt"), params)
+    final_train = _last_epoch(report, "train_acc")
+    final_eval = report.epochs[-1].eval_acc if report.epochs else TR.evaluate(params, eval_set)
     _write_table(os.path.join(args.out, "metrics.tsv"), h, cfg["seed"],
                  ("variant", "train_acc", "eval_acc"),
                  [(cfg["variant"], float(final_train), float(final_eval))])
@@ -175,18 +169,22 @@ def cmd_ablate(args) -> int:
     eval_set = D.generate(eval_task)
     rows = []
     for variant in M.VARIANTS:
-        params, report = _train_one(cfg, variant, train_set, eval_set, dims, tcfg)
-        final_train, final_eval = _final_accuracies(report, params, eval_set)
-        rows.append((variant, float(final_train), float(final_eval)))
+        params = M.init_params(dims, cfg["seed"], variant)
+        report = TR.fit(params, train_set, tcfg)
+        final_train, final_eval = _last_epoch(report, "train_acc"), TR.evaluate(params, eval_set)
+        rows.append((variant, float(final_train), float(final_eval),
+                     float(_last_epoch(report, "loss"))))
         print(f"{variant}: train_acc={final_train:.4f} eval_acc={final_eval:.4f}")
     os.makedirs(args.out, exist_ok=True)
+    # `loss` is the last epoch's mean training loss; NaN marks a diverged variant.
     _write_table(os.path.join(args.out, "ablation.tsv"), h, cfg["seed"],
-                 ("variant", "train_acc", "eval_acc"), rows)
+                 ("variant", "train_acc", "eval_acc", "loss"), rows)
     return 0
 
 
-_EVAL_DEFAULTS = {k: v for k, v in _EXPERIMENT_DEFAULTS.items()
-                  if k in _TASK_KEYS or k == "seed"}
+# The keys of an experiment config that `eval` reads, and hashes.
+_EVAL_KEYS = ("task", "frames", "height", "width", "train_per_class",
+              "eval_per_class", "noise", "seed")
 
 
 def cmd_eval(args) -> int:
@@ -200,7 +198,7 @@ def cmd_eval(args) -> int:
         # Accept a full training config so the same file drives both
         # commands, and score the held-out task that `train` evaluates on.
         full = _merge_config(args, _EXPERIMENT_DEFAULTS)
-        cfg = {k: v for k, v in full.items() if k in _EVAL_DEFAULTS}
+        cfg = {k: full[k] for k in _EVAL_KEYS}
         seed = cfg["seed"]
         _, task, _, _ = _build_experiment(full)
         if task.n_classes != d.n_classes:
@@ -210,7 +208,7 @@ def cmd_eval(args) -> int:
             )
         dataset = D.generate(task)
     h = _config_hash(cfg)
-    expected = (d.frames, d.in_channels, d.height, d.width)
+    expected = (d.frames, M.IN_CHANNELS, d.height, d.width)
     conflicting = {video.data.shape for video, _ in dataset} - {expected}
     if conflicting:
         raise ConfigError(
@@ -223,9 +221,8 @@ def cmd_eval(args) -> int:
         )
     videos, labels = TR.stack_dataset(dataset)
     preds = np.argmax(TR.predict(params, videos), axis=1)
-    n_classes = d.n_classes
-    per_class_n = np.bincount(labels, minlength=n_classes)
-    per_class_correct = np.bincount(labels[preds == labels], minlength=n_classes)
+    per_class_n = np.bincount(labels, minlength=d.n_classes)
+    per_class_correct = np.bincount(labels[preds == labels], minlength=d.n_classes)
     wa, wb = effective_weights(params.final_fusion)
     delta, epsilon = float(wa.data), float(wb.data)
     fusion_rows = [(i, int(y), int(p), delta, epsilon)
@@ -234,7 +231,7 @@ def cmd_eval(args) -> int:
     acc_rows = [
         (c, int(per_class_n[c]), int(per_class_correct[c]),
          float(per_class_correct[c] / per_class_n[c]) if per_class_n[c] else float("nan"))
-        for c in range(n_classes)
+        for c in range(d.n_classes)
     ]
     total_acc = per_class_correct.sum() / max(1, per_class_n.sum())
     _write_table(os.path.join(args.out, "per_class_accuracy.tsv"), h, seed,
@@ -259,18 +256,18 @@ def cmd_sketchbench(args) -> int:
     cfg = _merge_config(args, _SKETCHBENCH_DEFAULTS)
     if cfg["trials"] < 1:
         raise ConfigError(f"sketchbench: trials must be >= 1, got {cfg['trials']}")
+    if not cfg["output_dims"]:
+        raise ConfigError("sketchbench: output_dims must list at least one width")
     h = _config_hash(cfg)
-    c = cfg["input_dim"]
     rows = []
     for d in cfg["output_dims"]:
-        errs = sketch_errors(c, d, cfg["trials"], cfg["seed"])
+        errs = sketch_errors(cfg["input_dim"], d, cfg["trials"], cfg["seed"])
         rows.append((d, float(np.median(errs)),
                      float(np.quantile(errs, 0.25)), float(np.quantile(errs, 0.75))))
         print(f"d={d}: median_rel_err={rows[-1][1]:.4f}")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_table(os.path.join(args.out, "sketchbench.tsv"), h, cfg["seed"],
-                     ("d", "median_rel_err", "q25_rel_err", "q75_rel_err"), rows)
+    os.makedirs(args.out, exist_ok=True)
+    _write_table(os.path.join(args.out, "sketchbench.tsv"), h, cfg["seed"],
+                 ("d", "median_rel_err", "q25_rel_err", "q75_rel_err"), rows)
     return 0
 
 
@@ -308,9 +305,15 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {text}")
+    return int(text)
+
+
 def _add_common(p):
     p.add_argument("--config", help="flat JSON config file")
-    p.add_argument("--seed", type=int, help="master seed")
+    p.add_argument("--seed", type=_seed, help="master seed (>= 0)")
     p.add_argument("--out", default="out", help="output directory")
 
 

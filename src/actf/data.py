@@ -20,8 +20,6 @@ from .errors import ConfigError, FormatError
 from .tensor import Tensor
 from ._io import atomic_write_bytes, atomic_write_text
 
-TASK_KINDS = {"direction4": 4, "speed2": 2, "appearance4": 4, "mixed8": 8}
-
 _BLOB = 7          # blob side length in pixels
 _SLOW, _FAST = 1, 3
 
@@ -48,7 +46,7 @@ class SyntheticTask:
 
     @property
     def n_classes(self) -> int:
-        return TASK_KINDS[self.kind]
+        return TASK_KINDS[self.kind][0]
 
 
 def _rng(seed: int, group: int, index: int) -> np.random.Generator:
@@ -139,15 +137,18 @@ def _mixed_video(task, label, index):
     return _direction_video(sub, direction, index, step=_FAST if fast else _SLOW)
 
 
+# Each task kind: (number of classes, maker of one class's video).
+TASK_KINDS = {
+    "direction4": (4, _direction_video),
+    "speed2": (2, _speed_video),
+    "appearance4": (4, _appearance_video),
+    "mixed8": (8, _mixed_video),
+}
+
+
 def generate(task: SyntheticTask):
     """All samples of the task as (video Tensor, label) pairs, class-balanced."""
-    makers = {
-        "direction4": _direction_video,
-        "speed2": _speed_video,
-        "appearance4": _appearance_video,
-        "mixed8": _mixed_video,
-    }
-    make = makers[task.kind]
+    make = TASK_KINDS[task.kind][1]
     samples = []
     for index in range(task.per_class):
         for label in range(task.n_classes):

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, InputError, ShapeError
+from .errors import ConfigError, FormatError, InputError
 from . import tensor as T
 from .tensor import Tensor
 from .sketch import make_plan
@@ -31,6 +31,8 @@ from .branch import (
     init_reduction,
 )
 
+IN_CHANNELS = 3   # RGB frames
+
 
 @dataclass(frozen=True)
 class ModelDims:
@@ -43,9 +45,6 @@ class ModelDims:
     out_channels: int          # C_out: channels of the low-level feature
     sketch_dim: int            # d: channels of the bilinear correlation feature
     n_classes: int
-    in_channels: int = 3
-    reduce1: int = 0           # hidden widths of the reduction network;
-    reduce2: int = 0           # 0 means the default geometric taper
 
     def __post_init__(self):
         if self.frames < 2:
@@ -62,13 +61,14 @@ class ModelDims:
     def concat_channels(self) -> int:
         return self.out_channels + self.sketch_dim
 
+    # Hidden widths of the reduction network: a geometric taper.
     @property
     def r1(self) -> int:
-        return self.reduce1 or max(1, self.concat_channels // 2)
+        return max(1, self.concat_channels // 2)
 
     @property
     def r2(self) -> int:
-        return self.reduce2 or 2 * self.out_channels
+        return 2 * self.out_channels
 
     @property
     def feature_spatial(self) -> tuple:
@@ -142,7 +142,7 @@ def init_params(dims: ModelDims, seed: int, variant: str = "full") -> ModelParam
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     rng = np.random.default_rng(seed)
-    w1, b1 = _conv_layer(dims.in_channels, dims.conv1_channels, 3, rng)
+    w1, b1 = _conv_layer(IN_CHANNELS, dims.conv1_channels, 3, rng)
     w2, b2 = _conv_layer(dims.conv1_channels, dims.out_channels, 3, rng)
     attn = init_temporal_attention(dims.sketch_dim, rng)
     reduction = init_reduction(dims.concat_channels, dims.r1, dims.r2, dims.out_channels, rng)
@@ -173,9 +173,9 @@ def stpool(F: LowLevelFeature) -> Tensor:
 def forward(videos: Tensor, params: ModelParams) -> Tensor:
     """Run a batch of videos (B, t, 3, H, W) through the variant's pipeline to logits (B, classes)."""
     d = params.dims
-    if videos.data.ndim != 5 or videos.data.shape[2] != d.in_channels:
+    if videos.data.ndim != 5 or videos.data.shape[2] != IN_CHANNELS:
         raise InputError(
-            f"forward: expected (B, t, {d.in_channels}, H, W), got {videos.data.shape}"
+            f"forward: expected (B, t, {IN_CHANNELS}, H, W), got {videos.data.shape}"
         )
     if videos.data.shape[1] < 2:
         raise InputError("forward: need at least 2 frames")
@@ -257,6 +257,8 @@ def trainable_parameters(params: ModelParams):
 
 _CKPT_MAGIC = b"ACKP"
 _CKPT_VERSION = 1
+# Settings that older files record in `dims`, each at its only value.
+_FIXED_DIMS = {"in_channels": IN_CHANNELS, "reduce1": 0, "reduce2": 0}
 
 
 def save_checkpoint(path, params: ModelParams) -> None:
@@ -305,8 +307,12 @@ def load_checkpoint(path) -> ModelParams:
         # Indexing anything but a JSON object by name raises TypeError.
         dims, seed, variant, pm, names = (
             meta[k] for k in ("dims", "seed", "variant", "plan", "tensors"))
-        if not (isinstance(dims, dict) and all(type(v) is int for v in (seed, *dims.values()))):
-            raise TypeError(f"seed and dims fields must be integers: {seed!r}, {dims!r}")
+        if not (isinstance(dims, dict) and all(type(v) is int for v in (seed, *dims.values()))
+                and seed >= 0):
+            raise TypeError(f"seed (>= 0) and dims fields must be integers: {seed!r}, {dims!r}")
+        fixed = {k: dims.pop(k) for k in _FIXED_DIMS if k in dims}
+        if any(v != _FIXED_DIMS[k] for k, v in fixed.items()):
+            raise TypeError(f"dims fields {fixed} differ from their fixed values {_FIXED_DIMS}")
         dims = ModelDims(**dims)
         plan_record, listed = (pm["seed"], pm["input_dim"], pm["output_dim"]), sorted(names)
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as e:
@@ -323,11 +329,12 @@ def load_checkpoint(path) -> ModelParams:
         )
     offset = 10 + meta_len
     for name in names:
+        start = offset
         t, offset = tensor_from_bytes(raw, offset)
         target = by_name[name]
         if t.data.size != target.data.size:
-            raise ShapeError(
-                f"checkpoint tensor {name!r} has {t.data.size} values, "
+            raise FormatError(
+                f"at byte {start}: checkpoint tensor {name!r} has {t.data.size} values, "
                 f"expected {target.data.size}"
             )
         # By size: older files store the reduction biases as (1, M) rows.

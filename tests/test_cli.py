@@ -52,6 +52,21 @@ def test_train_writes_outputs(tmp_path, tiny_cfg):
         assert len(lines) == 4, name   # one variant; one epoch
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_train_divergence_exits_one(tmp_path, tiny_cfg, capsys):
+    # no-attn at this learning rate reaches a NaN loss in its second epoch
+    out = tmp_path / "out"
+    rc = cli.main(["train", "--config", tiny_cfg, "--out", str(out), "--variant", "no-attn",
+                   "--lr0", "1e6", "--epochs", "2"])
+    assert rc == 1
+    assert "training diverged: loss nan at epoch 1" in capsys.readouterr().err
+    rows = (out / "train_report.tsv").read_text().splitlines()[3:]
+    assert [r.split("\t")[2] for r in rows][1:] == ["nan"]
+    assert not (out / "checkpoint.ckpt").exists()
+    assert not (out / "metrics.tsv").exists()
+
+
 def test_train_zero_epochs_checkpoint_is_init(tmp_path, tiny_cfg):
     out = str(tmp_path / "out")
     rc = cli.main(["train", "--config", tiny_cfg, "--out", out,
@@ -159,6 +174,39 @@ def test_eval_refuses_malformed_metadata(tmp_path, tiny_cfg, capsys, raw):
     assert "at byte 10: malformed checkpoint metadata" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("reduce1", 5), ("in_channels", 1)])
+def test_eval_refuses_other_value_of_fixed_dims(tmp_path, tiny_cfg, capsys, field, value):
+    # older files record in_channels 3, reduce1 0 and reduce2 0; any other value is malformed
+    out = str(tmp_path / "out")
+    assert cli.main(["train", "--config", tiny_cfg, "--out", out, "--epochs", "0"]) == 0
+    ckpt = pathlib.Path(out) / "checkpoint.ckpt"
+    raw = ckpt.read_bytes()
+    meta_len = int(np.frombuffer(raw[6:10], dtype="<u4")[0])
+    meta = json.loads(raw[10:10 + meta_len])
+    meta["dims"][field] = value
+    blob = json.dumps(meta, sort_keys=True).encode()
+    ckpt.write_bytes(raw[:6] + np.uint32(len(blob)).tobytes() + blob + raw[10 + meta_len:])
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--config", tiny_cfg,
+                     "--out", str(tmp_path / "ev")]) == 2
+    assert "at byte 10: malformed checkpoint metadata" in capsys.readouterr().err
+
+
+def test_eval_refuses_tensor_of_wrong_size(tmp_path, tiny_cfg, capsys):
+    # a checkpoint whose last tensor, clf.b, has one value too many
+    from actf.data import tensor_to_bytes
+
+    params = M.init_params(M.ModelDims(frames=4, height=16, width=16, conv1_channels=3,
+                                       out_channels=8, sketch_dim=32, n_classes=4), 0)
+    params.clf_b.data = np.zeros(5)
+    ckpt = tmp_path / "big.ckpt"
+    M.save_checkpoint(ckpt, params)
+    start = ckpt.stat().st_size - len(tensor_to_bytes(params.clf_b))
+    rc = cli.main(["eval", "--checkpoint", str(ckpt), "--config", tiny_cfg,
+                   "--out", str(tmp_path / "ev")])
+    assert rc == 2
+    assert f"at byte {start}: checkpoint tensor 'clf.b' has 5 values" in capsys.readouterr().err
+
+
 def test_eval_manifest_round_trip(tmp_path, tiny_cfg):
     out = str(tmp_path / "out")
     assert cli.main(["train", "--config", tiny_cfg, "--out", out]) == 0
@@ -217,6 +265,50 @@ def test_unknown_config_key(tmp_path):
     assert rc == 2
 
 
+def test_removed_config_key(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"reduce1": 0}))
+    assert cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert "unknown config keys: ['reduce1']" in capsys.readouterr().err
+
+
+# A changed valid value of each experiment key, except `variant`, which
+# cmd_train and cmd_ablate read instead of _build_experiment.
+CHANGED = {
+    "task": "speed2", "frames": 6, "height": 28, "width": 28, "train_per_class": 41,
+    "eval_per_class": 26, "noise": 0.03, "conv1_channels": 9, "out_channels": 65,
+    "sketch_dim": 257, "lr0": 0.06, "momentum": 0.8, "weight_decay": 0.0002,
+    "decay_factor": 0.2, "decay_epochs": [2], "epochs": 6, "batch_size": 17, "seed": 1,
+}
+
+
+@pytest.mark.parametrize("key", sorted(set(cli._EXPERIMENT_DEFAULTS) - {"variant"}))
+def test_every_experiment_key_is_read(key):
+    # a config key that changes nothing is a switch that nothing sets
+    base = cli._build_experiment(cli._EXPERIMENT_DEFAULTS)
+    changed = cli._build_experiment(dict(cli._EXPERIMENT_DEFAULTS, **{key: CHANGED[key]}))
+    assert changed != base
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--seed", "-1"],
+    ["gradcheck", "--seed", "-1"],
+    ["sketchbench", "--seed", "-2"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_flag_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+def test_negative_seed_in_config(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"seed": -1}))
+    assert cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert "config key 'seed': must be >= 0" in capsys.readouterr().err
+
+
 def test_malformed_config_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -266,8 +358,10 @@ def test_ablate_covers_all_variants(tmp_path, tiny_cfg):
     rc = cli.main(["ablate", "--config", tiny_cfg, "--out", out])
     assert rc == 0
     lines = open(os.path.join(out, "ablation.tsv")).read().splitlines()
-    variants = [l.split("\t")[0] for l in lines[3:]]
-    assert variants == list(M.VARIANTS)
+    assert lines[2].split("\t") == ["variant", "train_acc", "eval_acc", "loss"]
+    rows = [l.split("\t") for l in lines[3:]]
+    assert [r[0] for r in rows] == list(M.VARIANTS)
+    assert all(np.isfinite(float(r[3])) for r in rows)
 
 
 def test_sketchbench_writes_table(tmp_path):
@@ -284,7 +378,7 @@ def test_sketchbench_writes_table(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("output_dims", ["a"]), ("output_dims", [True]), ("trials", 0),
+    ("output_dims", ["a"]), ("output_dims", [True]), ("trials", 0), ("output_dims", []),
 ])
 def test_sketchbench_refuses_bad_config(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"

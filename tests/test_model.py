@@ -199,6 +199,23 @@ class TestCheckpoint:
         video = t(rng.uniform(0.0, 1.0, (2, 4, 3, 16, 16)))
         np.testing.assert_array_equal(M.forward(video, row).data, M.forward(video, flat).data)
 
+    def test_fixed_dims_of_older_files_load(self, tmp_path):
+        # older files record in_channels, reduce1 and reduce2 in dims at the
+        # only values they had; such a file loads and gives the same logits
+        p = M.init_params(tiny_dims(), 6, "full")
+        M.save_checkpoint(tmp_path / "new.ckpt", p)
+        raw = (tmp_path / "new.ckpt").read_bytes()
+        meta_len = int(np.frombuffer(raw[6:10], dtype="<u4")[0])
+        meta = json.loads(raw[10:10 + meta_len])
+        meta["dims"].update(in_channels=3, reduce1=0, reduce2=0)
+        blob = json.dumps(meta, sort_keys=True).encode()
+        (tmp_path / "old.ckpt").write_bytes(
+            raw[:6] + np.uint32(len(blob)).tobytes() + blob + raw[10 + meta_len:])
+        new, old = (M.load_checkpoint(tmp_path / f) for f in ("new.ckpt", "old.ckpt"))
+        assert old.dims == new.dims == p.dims
+        video = t(np.random.default_rng(6).uniform(0.0, 1.0, (2, 4, 3, 16, 16)))
+        np.testing.assert_array_equal(M.forward(video, old).data, M.forward(video, new).data)
+
     def test_forward_agrees_after_reload(self, tmp_path):
         dims = tiny_dims()
         p = M.init_params(dims, 8, "full")
@@ -246,8 +263,10 @@ class TestCheckpoint:
         lambda m: m.update(dims=[4, 16]),
         lambda m: m.update(seed="0"),
         lambda m: m.update(tensors=5),
+        lambda m: m.update(seed=-1),
     ], ids=["no-tensors", "no-plan", "unknown-dims-field", "str-dims-field",
-            "float-dims-field", "dims-not-object", "str-seed", "tensors-not-list"])
+            "float-dims-field", "dims-not-object", "str-seed", "tensors-not-list",
+            "negative-seed"])
     def test_malformed_metadata_rejected(self, tmp_path, edit):
         path = tmp_path / "model.ckpt"
         M.save_checkpoint(path, M.init_params(tiny_dims(), 0, "full"))
