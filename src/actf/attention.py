@@ -22,13 +22,19 @@ def init_temporal_attention(feat_dim: int, rng: np.random.Generator) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, size=(feat_dim, 1)), requires_grad=True)
 
 
+def attention_weights(logits: Tensor) -> Tensor:
+    """Attention weights from (B, t-1) pair logits: sigmoid, then a softmax
+    across the pairs of each video; each row non-negative, summing to 1."""
+    return T.softmax(T.sigmoid(logits))
+
+
 def temporal_weights(pairs: Tensor, proj: Tensor) -> Tensor:
-    """Attention weights over frame pairs; each row non-negative, summing to 1.
+    """Attention weights over frame pairs, from their features.
 
     Pair features (B, t-1, C), or maps (B, t-1, C, H, W) averaged over space,
-    are projected by the (C, 1) ``proj`` to one logit each, squashed by
-    sigmoid, then normalized by a softmax across the pairs of each video:
-    alpha has shape (B, t-1).
+    are projected by the (C, 1) ``proj`` to one logit each, then squashed by
+    ``attention_weights``: alpha has shape (B, t-1). ``extract_actf`` computes
+    the same logits from the frames by ``sketch.bilinear_logits``.
     """
     c = proj.data.shape[0]
     if pairs.data.ndim == 5:
@@ -40,7 +46,7 @@ def temporal_weights(pairs: Tensor, proj: Tensor) -> Tensor:
         )
     b, p = pairs.data.shape[:2]
     logits = T.reshape(T.matmul(T.reshape(pairs, (b * p, c)), proj), (b, p))
-    return T.softmax(T.sigmoid(logits))
+    return attention_weights(logits)
 
 
 @dataclass

@@ -4,8 +4,10 @@ C_out-length video vector.
 
 Shapes, batch-first, with F of shape (B, t, C_out, H, W) and sketch dimension d.
 ``extract_iccf``/``extract_imf`` give the paper's regional maps; ``extract_actf``
-uses only their means over space and pairs, so it pools first and never forms them:
-    bilinear correlation B : maps (B, t-1, d, H, W), pooled (B, t-1, d)
+uses only their means over space and pairs, so it never forms them:
+    bilinear correlation B : maps (B, t-1, d, H, W); attention logits (B, t-1)
+                             and the attended mean over pairs (B, d) come
+                             from each video's second moments
     pairwise mean        L : maps (B, t-1, C_out, H, W), pooled (B, t-1, C_out)
     fused, pooled over pairs: (B, d + C_out)
     output          v_actf : (B, C_out)
@@ -20,8 +22,8 @@ import numpy as np
 from .errors import InputError, ShapeError
 from . import tensor as T
 from .tensor import Tensor
-from .sketch import SketchPlan, compact_bilinear, pooled_bilinear
-from .attention import PairFusionWeights, fuse_pair, temporal_weights
+from .sketch import SketchPlan, bilinear_logits, compact_bilinear, weighted_bilinear
+from .attention import PairFusionWeights, attention_weights, fuse_pair, temporal_weights
 
 
 @dataclass
@@ -134,12 +136,15 @@ def extract_actf(F: LowLevelFeature, params: ActfParams,
     """
     x = F.batch
     n, t, c, h, w = x.data.shape
-    # Each pair's frames as channels-first (C, H*W) operands: a reshape, no transpose.
-    first, second = (T.reshape(f, (n * (t - 1), c, h * w)) for f in _frame_pairs(x))
-    iccf = T.reshape(pooled_bilinear(first, second, params.plan), (n, t - 1, -1))
+    # Each frame as H*W rows of C-vectors, (B, t, H*W, C).
+    rows = T.reshape(T.transpose(x, (0, 1, 3, 4, 2)), (n, t, h * w, c))
+    # The mean over pairs of the attended sketches: pair weights alpha / (t-1).
     if attend:
-        iccf = T.scale_frames(iccf, temporal_weights(iccf, params.attn))
-    iccf = T.mean(iccf, (1,))
+        alpha = attention_weights(bilinear_logits(rows, params.attn, params.plan))
+        weights = T.scale(alpha, 1.0 / (t - 1))
+    else:
+        weights = Tensor(np.full((n, t - 1), 1.0 / (t - 1)))
+    iccf = weighted_bilinear(rows, weights, params.plan)
     first, second = _frame_pairs(T.mean(x, (3, 4)))
     imf = T.mean(T.scale(T.add(first, second), 0.5), (1,))
     if imf_weight_zero:

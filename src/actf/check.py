@@ -15,7 +15,7 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from .tensor import Tape, Tensor
-from .sketch import compact_bilinear, make_plan, pooled_bilinear
+from .sketch import bilinear_logits, compact_bilinear, make_plan, weighted_bilinear
 from .attention import PairFusionWeights, fuse_pair, temporal_weights
 
 PRIMITIVE_TOL = 1e-4
@@ -166,8 +166,13 @@ def run_audit(seed: int = 0) -> list:
     wb = rng.standard_normal(3 * 16)
     check("compact_bilinear",
           lambda: _scalarize(compact_bilinear(bx, by, plan), wb), [bx, by])
-    px, py = _param(rng, (3, 12, 5)), _param(rng, (3, 12, 5))
-    check("pooled_bilinear", lambda: _scalarize(pooled_bilinear(px, py, plan), wb), [px, py])
+    # Two videos of three frames (two pairs each) at five locations.
+    frames, sproj, pw = _param(rng, (2, 3, 5, 12)), _param(rng, (16, 1)), _param(rng, (2, 2))
+    wz, ws = rng.standard_normal(2 * 2), rng.standard_normal(2 * 16)
+    check("bilinear_logits",
+          lambda: _scalarize(bilinear_logits(frames, sproj, plan), wz), [frames, sproj])
+    check("weighted_bilinear",
+          lambda: _scalarize(weighted_bilinear(frames, pw, plan), ws), [frames, pw])
 
     proj = _param(rng, (6, 1))
     pairs = _param(rng, (2, 3, 6, 2, 2))

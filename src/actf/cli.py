@@ -147,13 +147,17 @@ def cmd_train(args) -> int:
     _write_table(os.path.join(args.out, "train_report.tsv"), h, cfg["seed"],
                  [f.name for f in dataclasses.fields(TR.EpochRecord)],
                  [dataclasses.astuple(r) for r in report.epochs])
-    diverged = [r for r in report.epochs if not np.isfinite(r.loss)]
-    if diverged:
-        raise RuntimeError(f"training diverged: loss {diverged[0].loss} at epoch "
-                           f"{diverged[0].epoch}; no checkpoint written")
-    M.save_checkpoint(os.path.join(args.out, "checkpoint.ckpt"), params)
+    if report.nonfinite_at is not None:
+        epoch, batch = report.nonfinite_at
+        what = (f"gradient of {report.nonfinite_tensor}" if report.nonfinite_tensor
+                else "loss")
+        raise RuntimeError(f"training diverged: non-finite {what} at epoch {epoch}, "
+                           f"batch {batch}; no checkpoint written")
+    ckpt = os.path.join(args.out, "checkpoint.ckpt")
+    M.save_checkpoint(ckpt, params)
     final_train = _last_epoch(report, "train_acc")
-    final_eval = report.epochs[-1].eval_acc if report.epochs else TR.evaluate(params, eval_set)
+    # Scored with the weights as the checkpoint stores them (f32), as `eval` reads them.
+    final_eval = TR.evaluate(M.load_checkpoint(ckpt), eval_set)
     _write_table(os.path.join(args.out, "metrics.tsv"), h, cfg["seed"],
                  ("variant", "train_acc", "eval_acc"),
                  [(cfg["variant"], float(final_train), float(final_eval))])

@@ -4,6 +4,11 @@ Approximates the flattened outer product of two feature vectors in a low
 dimension d, preserving inner products in expectation:
     E[<compact_bilinear(x, y), compact_bilinear(u, v)>] = <x, u> <y, v>
 The hash/sign tables are frozen at plan creation and never trained.
+
+The map is linear in the outer product, so a weighted mean of sketches over
+locations and frame pairs is the sketch of the same mean of second moments.
+``bilinear_logits`` and ``weighted_bilinear`` use this to attend over a
+video's frame pairs and pool them with no pair ever sketched on its own.
 """
 
 from __future__ import annotations
@@ -88,28 +93,104 @@ def compact_bilinear(x: Tensor, y: Tensor, plan: SketchPlan) -> Tensor:
     return apply_primitive(np.fft.irfft(fa * fb, n=d, axis=-1), (x, y), backward)
 
 
-def pooled_bilinear(x: Tensor, y: Tensor, plan: SketchPlan) -> Tensor:
-    """Mean over l of compact_bilinear(x[p, :, l], y[p, :, l]): (P, C, L) -> (P, d).
-
-    The sketch is linear in the outer product, so this is the bucket sum of
-    each second moment M = x y^T / L (P, C, C), with no per-location map.
-    Backward gathers the cotangent through the buckets into dL/dM, then
-    runs two batched GEMMs.
-    """
-    if x.data.ndim != 3 or x.data.shape != y.data.shape:
-        raise ShapeError(
-            f"pooled_bilinear: operands {x.data.shape} and {y.data.shape} are not equal (P, C, L)"
-        )
-    p, c, n = x.data.shape
+def _pairs(f: Tensor, plan: SketchPlan, opname: str):
+    """Check frames (B, t, L, C) against the plan. Returns views of the leading
+    and the trailing frames of the t-1 consecutive pairs, as (B, (t-1)*L, C) rows."""
+    if f.data.ndim != 4 or f.data.shape[1] < 2:
+        raise ShapeError(f"{opname}: frames {f.data.shape} are not (B, t >= 2, L, C)")
+    b, t, n, c = f.data.shape
     if c != plan.input_dim:
-        raise ShapeError(f"pooled_bilinear: axis 1 {c} != plan input_dim {plan.input_dim}")
-    xs, ys = x.data * plan.s1[:, None], y.data * plan.s2[:, None]
-    m = xs @ ys.transpose(0, 2, 1)
+        raise ShapeError(f"{opname}: last axis {c} != plan input_dim {plan.input_dim}")
+    rows = f.data.reshape(b, t * n, c)
+    return rows[:, :-n], rows[:, n:]
+
+
+def _signed(m: np.ndarray, plan: SketchPlan) -> np.ndarray:
+    """diag(s1) m diag(s2), in place, for a fresh (..., C, C) m: the signs move
+    off the operands, x~^T m y~ = x^T (s1 m s2) y with x~ = s1 x, y~ = s2 y."""
+    m *= plan.s1[:, None]
+    m *= plan.s2
+    return m
+
+
+def _per_pair(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows (B, P*L, C) with each pair's L rows times its weight w[b, p]."""
+    b, p = w.shape
+    return (rows.reshape(b, p, -1) * w[..., None]).reshape(rows.shape)
+
+
+def _pair_dots(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
+    """Sum over each pair's L rows of the row dot products of u and v: (B, P)."""
+    b = u.shape[0]
+    return np.einsum("bpk,bpk->bp", u.reshape(b, p, -1), v.reshape(b, p, -1))
+
+
+def _frames_grad(lead: np.ndarray, rows: np.ndarray, m: np.ndarray, shape) -> np.ndarray:
+    """The gradient of frames (B, t, L, C): the (B, (t-1)*L, C) rows ``lead`` on
+    the leading frame of each pair, plus ``rows @ m`` on the trailing one."""
+    n = shape[2]
+    g = np.empty((shape[0], shape[1] * n, shape[3]))
+    np.matmul(rows, m, out=g[:, n:])
+    g[:, :n] = 0.0
+    g[:, :-n] += lead
+    return g.reshape(shape)
+
+
+def bilinear_logits(f: Tensor, proj: Tensor, plan: SketchPlan) -> Tensor:
+    """Pair logits <proj, mean over l of compact_bilinear(f[b, p, l], f[b, p+1, l])>
+    of frames (B, t, L, C): (B, t-1).
+
+    The sketch is linear in the outer product, so a logit is
+    sum_l x~_l^T Q y~_l / L over the pair's signed rows x~ = s1 x, y~ = s2 y,
+    with Q = proj[buckets] as one (C, C) matrix: one GEMM over all
+    B*(t-1)*L rows, and no pair is sketched. The projection's gradient is the
+    bucket sum of the cotangent-weighted second moment.
+    """
+    x, y = _pairs(f, plan, "bilinear_logits")
+    if proj.data.shape != (plan.output_dim, 1):
+        raise ShapeError(
+            f"bilinear_logits: projection {proj.data.shape} is not ({plan.output_dim}, 1)"
+        )
+    b, t, n, c = f.data.shape
+    q = _signed(np.take(proj.data[:, 0], plan.buckets).reshape(c, c), plan)
+    yq = y @ q.T                                    # rows (q y_l)^T
 
     def backward(g):
-        gm = np.take(g / n, plan.buckets, axis=1).reshape(p, c, c)
-        return ((gm @ ys) * plan.s1[:, None],
-                (gm.transpose(0, 2, 1) @ xs) * plan.s2[:, None])
+        xg = _per_pair(x, g / n)
+        gq = _signed(np.sum(xg.transpose(0, 2, 1) @ y, axis=0), plan)
+        # The tape runs each backward once: yq becomes the leading frames' gradient.
+        lead = yq.reshape(b, t - 1, -1)
+        lead *= (g / n)[..., None]
+        return (_frames_grad(yq, xg, q, f.data.shape),
+                bucket_sum(gq.ravel(), plan.buckets, plan.output_dim)[:, None])
 
-    out = bucket_sum(m.reshape(p, c * c), plan.buckets, plan.output_dim) / n
-    return apply_primitive(out, (x, y), backward)
+    return apply_primitive(_pair_dots(x, yq, t - 1) / n, (f, proj), backward)
+
+
+def weighted_bilinear(f: Tensor, w: Tensor, plan: SketchPlan) -> Tensor:
+    """sum over p of w[b, p] * mean over l of compact_bilinear(f[b, p, l], f[b, p+1, l]),
+    for frames (B, t, L, C) and pair weights (B, t-1): (B, d).
+
+    The sketch is linear in the outer product, so a video's output is the
+    bucket sum of one (C, C) moment sum_p w_p x~_p y~_p^T / L: one GEMM per
+    video, whose inner dimension is (t-1)*L, and no pair is sketched.
+    Backward gathers the cotangent through the buckets once per video into G,
+    then reuses G y~ for the gradients of the leading frames and the weights.
+    """
+    x, y = _pairs(f, plan, "weighted_bilinear")
+    b, t, n, c = f.data.shape
+    if w.data.shape != (b, t - 1):
+        raise ShapeError(f"weighted_bilinear: weights {w.data.shape} are not ({b}, {t - 1})")
+    xw = _per_pair(x, w.data / n)
+    m = _signed(xw.transpose(0, 2, 1) @ y, plan)
+
+    def backward(g):
+        gm = _signed(np.take(g, plan.buckets, axis=1).reshape(b, c, c), plan)
+        gy = y @ gm.transpose(0, 2, 1)              # rows (G y_l)^T
+        gw = _pair_dots(x, gy, t - 1) / n
+        lead = gy.reshape(b, t - 1, -1)
+        lead *= (w.data / n)[..., None]
+        return _frames_grad(gy, xw, gm, f.data.shape), gw
+
+    return apply_primitive(bucket_sum(m.reshape(b, c * c), plan.buckets, plan.output_dim),
+                           (f, w), backward)

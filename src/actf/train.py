@@ -80,6 +80,11 @@ class EpochRecord:
 @dataclass
 class TrainReport:
     epochs: list = field(default_factory=list)   # one EpochRecord per epoch
+    # (epoch, batch) of the first minibatch whose loss or some gradient was not
+    # finite, and the first tensor, in `named_tensors` order, whose gradient
+    # there was not (None if only the loss was). Training runs on regardless.
+    nonfinite_at: tuple | None = None
+    nonfinite_tensor: str | None = None
 
 
 # Videos per untaped forward in `predict`; bounds evaluation memory.
@@ -109,6 +114,7 @@ def fit(params: M.ModelParams, dataset, cfg: TrainConfig, eval_set=None) -> Trai
     """Train in place; deterministic given config and seed (fixed shuffle order).
 
     Each minibatch is one batched forward and one backward of its mean loss.
+    The first non-finite loss or gradient is recorded in the report, not raised.
     """
     if not dataset:
         raise ConfigError("fit: empty dataset")
@@ -130,6 +136,12 @@ def fit(params: M.ModelParams, dataset, cfg: TrainConfig, eval_set=None) -> Trai
                 tape.backward(batch_loss)
             correct += int(np.sum(np.argmax(logits.data, axis=1) == labels[batch]))
             total_loss += float(batch_loss.data) * len(batch)
+            if report.nonfinite_at is None:
+                bad = [name for name, t, _ in optimizer.parameters
+                       if t.grad is not None and not np.isfinite(t.grad).all()]
+                if bad or not np.isfinite(batch_loss.data):
+                    report.nonfinite_at = (epoch, start // cfg.batch_size)
+                    report.nonfinite_tensor = bad[0] if bad else None
             optimizer.step(lr)
         eval_acc = evaluate(params, eval_set) if eval_set else float("nan")
         report.epochs.append(EpochRecord(

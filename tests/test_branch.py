@@ -237,6 +237,21 @@ class TestExtractActf:
             sizes = [out.data.size for _, out, _ in tape._records]
             assert sizes and max(sizes) < n * (frames - 1) * d * h * w
 
+    @pytest.mark.parametrize("kw", [{}, {"attend": False}, {"imf_weight_zero": True},
+                                    {"attend": False, "imf_weight_zero": True}])
+    def test_records_no_per_pair_sketch(self, kw):
+        # attention and pooling run on second moments: no tape record holds a
+        # sketch per frame pair, (B*(t-1), d) or (B, t-1, d)
+        rng = np.random.default_rng(17)
+        n, frames, c, d, h, w = 2, 4, 3, 8, 3, 2
+        p = _params(c_out=c, d=d)
+        f = t(rng.uniform(0.0, 1.0, (n, frames, c, h, w)), grad=True)
+        with T.Tape() as tape:
+            B.extract_actf(B.LowLevelFeature(f), p, **kw)
+        shapes = {out.data.shape for _, out, _ in tape._records}
+        assert (n, d) in shapes
+        assert not shapes & {(n * (frames - 1), d), (n, frames - 1, d)}, shapes
+
     def test_plan_must_match_channels(self):
         # the sketch primitives refuse a plan drawn for another channel count
         p = _params(c_out=3, d=8)

@@ -1,19 +1,26 @@
 """The gradient audit covers every tape primitive."""
 
+import importlib
 import inspect
+import pkgutil
 
 import pytest
 
+import actf
 from actf import attention as A
 from actf import check as C
 from actf import sketch as S
 from actf import tensor as T
 
 
-def _recording_functions(module):
-    """Functions defined in ``module`` that record on the tape through apply_primitive."""
+def _recording_functions():
+    """Functions defined in any actf module that record on the tape through apply_primitive."""
+    modules = [importlib.import_module(f"actf.{m.name}")
+               for m in pkgutil.iter_modules(actf.__path__)]
+    assert {T, S, A} <= set(modules)
     return {
-        name for name, fn in inspect.getmembers(module, inspect.isfunction)
+        name for module in modules
+        for name, fn in inspect.getmembers(module, inspect.isfunction)
         if fn.__module__ == module.__name__ and name != "apply_primitive"
         and "apply_primitive(" in inspect.getsource(fn)
     }
@@ -25,8 +32,9 @@ def results():
 
 
 def test_every_primitive_is_audited(results):
-    primitives = _recording_functions(T) | _recording_functions(S)
-    assert {"conv2d", "compact_bilinear", "pooled_bilinear", "reshape"} <= primitives
+    primitives = _recording_functions()
+    assert {"conv2d", "compact_bilinear", "bilinear_logits", "weighted_bilinear",
+            "reshape"} <= primitives
     missing = primitives - {r.name for r in results}
     assert not missing, f"primitives without a gradient check: {sorted(missing)}"
     assert all(r.ok for r in results), [r for r in results if not r.ok]

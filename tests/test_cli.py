@@ -55,16 +55,33 @@ def test_train_writes_outputs(tmp_path, tiny_cfg):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_train_divergence_exits_one(tmp_path, tiny_cfg, capsys):
-    # no-attn at this learning rate reaches a NaN loss in its second epoch
+    # no-attn at this learning rate reaches a NaN loss in its second epoch; the
+    # message names the first batch with a non-finite gradient and its tensor
     out = tmp_path / "out"
     rc = cli.main(["train", "--config", tiny_cfg, "--out", str(out), "--variant", "no-attn",
                    "--lr0", "1e6", "--epochs", "2"])
     assert rc == 1
-    assert "training diverged: loss nan at epoch 1" in capsys.readouterr().err
+    assert ("training diverged: non-finite gradient of backbone.w1 at epoch 1, batch 1"
+            in capsys.readouterr().err)
     rows = (out / "train_report.tsv").read_text().splitlines()[3:]
     assert [r.split("\t")[2] for r in rows][1:] == ["nan"]
     assert not (out / "checkpoint.ckpt").exists()
     assert not (out / "metrics.tsv").exists()
+
+
+def test_train_eval_acc_is_the_checkpoints(tmp_path, tiny_cfg):
+    # metrics.tsv scores the weights as stored (f32): `eval` on the
+    # checkpoint reproduces its eval_acc exactly
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", tiny_cfg, "--out", str(out), "--epochs", "2"]) == 0
+    metrics = (out / "metrics.tsv").read_text().splitlines()
+    eval_acc = metrics[3].split("\t")[metrics[2].split("\t").index("eval_acc")]
+    ev = tmp_path / "ev"
+    assert cli.main(["eval", "--config", tiny_cfg, "--checkpoint", str(out / "checkpoint.ckpt"),
+                     "--out", str(ev)]) == 0
+    rows = [r.split("\t") for r in (ev / "per_class_accuracy.tsv").read_text().splitlines()[3:]]
+    correct, n = sum(int(r[2]) for r in rows), sum(int(r[1]) for r in rows)
+    assert f"{correct / n:.10g}" == eval_acc
 
 
 def test_train_zero_epochs_checkpoint_is_init(tmp_path, tiny_cfg):

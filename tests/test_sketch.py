@@ -175,55 +175,86 @@ def _scalar_loss(out, w):
 
 
 class TestPooledBilinear:
-    @given(p=st.integers(1, 4), c=st.integers(1, 9), n=st.integers(1, 6),
-           d=st.integers(1, 17), seed=st.integers(0, 2**32 - 1))
+    """The two pooled primitives of the temporal branch: ``bilinear_logits``
+    and ``weighted_bilinear`` over the consecutive frame pairs of (B, t, L, C)."""
+
+    @given(b=st.integers(1, 3), p=st.integers(1, 4), c=st.integers(1, 9),
+           n=st.integers(1, 6), d=st.integers(1, 17), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_matches_mean_of_compact_bilinear(self, p, c, n, d, seed):
-        # values and both input gradients equal those of the per-location
-        # maps averaged over locations, including P = 1, L = 1 and C = 1
+    def test_matches_mean_of_compact_bilinear(self, b, p, c, n, d, seed):
+        # values and every input gradient equal those of the per-pair pooled
+        # sketches: <proj, sketch> for the logits, the w-weighted sum over
+        # pairs for the other; P, L and C go down to 1
         plan = S.make_plan(c, d, seed=seed)
         rng = np.random.default_rng(seed)
-        x0, y0 = rng.standard_normal((2, p, c, n))
-        w = rng.standard_normal(p * d)
+        f0 = rng.standard_normal((b, p + 1, n, c))
+        proj0, w0 = rng.standard_normal((d, 1)), rng.standard_normal((b, p))
+        wz, ws = rng.standard_normal(b * p), rng.standard_normal(b * d)
 
-        def run(pooled):
-            x, y = t(x0, grad=True), t(y0, grad=True)
-            with T.Tape() as tape:
-                if pooled:
-                    out = S.pooled_bilinear(x, y, plan)
-                else:
-                    rows = lambda a: T.transpose(a, (0, 2, 1))
-                    out = T.mean(S.compact_bilinear(rows(x), rows(y), plan), (1,))
-                tape.backward(_scalar_loss(out, w))
-            return out.data, x.grad, y.grad
+        def pair_sketches(f):
+            first, second = T.frame_slice(f, 0, p), T.frame_slice(f, 1, p + 1)
+            return T.mean(S.compact_bilinear(first, second, plan), (2,))   # (B, P, d)
 
-        for got, want in zip(run(True), run(False)):
-            assert got.shape == want.shape
-            scale = max(float(np.max(np.abs(want))), 1e-300)
-            assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+        def logits(f, proj, pooled):
+            if pooled:
+                return S.bilinear_logits(f, proj, plan)
+            z = T.matmul(T.reshape(pair_sketches(f), (b * p, d)), proj)
+            return T.reshape(z, (b, p))
+
+        def weighted(f, w, pooled):
+            if pooled:
+                return S.weighted_bilinear(f, w, plan)
+            return T.scale(T.mean(T.scale_frames(pair_sketches(f), w), (1,)), float(p))
+
+        for op, other0, wout in ((logits, proj0, wz), (weighted, w0, ws)):
+            def run(pooled):
+                f, other = t(f0, grad=True), t(other0, grad=True)
+                with T.Tape() as tape:
+                    out = op(f, other, pooled)
+                    tape.backward(_scalar_loss(out, wout))
+                return out.data, f.grad, other.grad
+
+            for got, want in zip(run(True), run(False)):
+                assert got.shape == want.shape
+                scale = max(float(np.max(np.abs(want))), 1e-300)
+                assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
 
     def test_output_shape(self):
         plan = S.make_plan(4, 10, seed=1)
-        out = S.pooled_bilinear(t(np.ones((3, 4, 5))), t(np.ones((3, 4, 5))), plan)
-        assert out.data.shape == (3, 10)
+        f = t(np.ones((3, 5, 6, 4)))
+        assert S.bilinear_logits(f, t(np.ones((10, 1))), plan).data.shape == (3, 4)
+        assert S.weighted_bilinear(f, t(np.ones((3, 4))), plan).data.shape == (3, 10)
 
     def test_operand_mismatch(self):
         plan = S.make_plan(4, 10, seed=1)
-        with pytest.raises(ShapeError, match="pooled_bilinear"):
-            S.pooled_bilinear(t(np.ones((3, 4, 5))), t(np.ones((3, 4, 6))), plan)
-        with pytest.raises(ShapeError, match="pooled_bilinear"):
-            S.pooled_bilinear(t(np.ones((4, 5))), t(np.ones((4, 5))), plan)
+        proj, w = t(np.ones((10, 1))), t(np.ones((3, 4)))
+        for frames in (np.ones((5, 6, 4)), np.ones((3, 1, 6, 4))):
+            with pytest.raises(ShapeError, match="bilinear_logits"):
+                S.bilinear_logits(t(frames), proj, plan)
+            with pytest.raises(ShapeError, match="weighted_bilinear"):
+                S.weighted_bilinear(t(frames), w, plan)
+        f = t(np.ones((3, 5, 6, 4)))
+        with pytest.raises(ShapeError, match="projection"):
+            S.bilinear_logits(f, t(np.ones((10,))), plan)
+        with pytest.raises(ShapeError, match="weights"):
+            S.weighted_bilinear(f, t(np.ones((3, 5))), plan)
 
     def test_input_dim_mismatch(self):
         plan = S.make_plan(4, 10, seed=1)
+        f = t(np.ones((3, 5, 6, 5)))
         with pytest.raises(ShapeError, match="input_dim"):
-            S.pooled_bilinear(t(np.ones((3, 5, 5))), t(np.ones((3, 5, 5))), plan)
+            S.bilinear_logits(f, t(np.ones((10, 1))), plan)
+        with pytest.raises(ShapeError, match="input_dim"):
+            S.weighted_bilinear(f, t(np.ones((3, 4))), plan)
 
     def test_gradcheck(self):
         plan = S.make_plan(5, 8, seed=8)
         rng = np.random.default_rng(9)
-        x = t(rng.standard_normal((2, 5, 3)), grad=True)
-        y = t(rng.standard_normal((2, 5, 3)), grad=True)
-        w = rng.standard_normal(16)
-        assert gradient_error(lambda: _scalar_loss(S.pooled_bilinear(x, y, plan), w),
-                              [x, y]) < 1e-6
+        f = t(rng.standard_normal((2, 3, 3, 5)), grad=True)
+        proj = t(rng.standard_normal((8, 1)), grad=True)
+        w = t(rng.standard_normal((2, 2)), grad=True)
+        wz, ws = rng.standard_normal(4), rng.standard_normal(16)
+        assert gradient_error(lambda: _scalar_loss(S.bilinear_logits(f, proj, plan), wz),
+                              [f, proj]) < 1e-6
+        assert gradient_error(lambda: _scalar_loss(S.weighted_bilinear(f, w, plan), ws),
+                              [f, w]) < 1e-6

@@ -169,6 +169,22 @@ class TestFit:
         assert reports[0] == reports[1]
         np.testing.assert_array_equal(finals[0], finals[1])
 
+    def test_records_first_nonfinite_batch(self):
+        # a diverging run is recorded, not raised, and trains on; a finite
+        # run records nothing
+        ds = D.generate(D.SyntheticTask(kind="direction4", per_class=2,
+                                        height=16, width=16, frames=4, seed=0))
+        reports = {}
+        for lr0 in (0.01, 1e6):
+            p = M.init_params(tiny_dims(), 0, "no-attn")
+            with np.errstate(all="ignore"):
+                reports[lr0] = TR.fit(p, ds, TR.TrainConfig(lr0=lr0, epochs=2, batch_size=4))
+        assert reports[0.01].nonfinite_at is None
+        assert reports[0.01].nonfinite_tensor is None
+        rep = reports[1e6]
+        assert rep.nonfinite_at == (1, 1) and rep.nonfinite_tensor == "backbone.w1"
+        assert len(rep.epochs) == 2 and np.isnan(rep.epochs[1].loss)
+
     def test_tsv_has_header(self, tmp_path):
         # a zero-epoch run still writes the epoch table's column header
         cfg = tmp_path / "cfg.json"
