@@ -131,20 +131,20 @@ def run_audit(seed: int = 0) -> list:
     w = rng.standard_normal(2 * 2)
     check("mean", lambda: _scalarize(T.mean(p5, (1, 3, 4)), w), [p5])
 
-    p4 = _param(rng, (3, 2, 4, 4))
-    w = rng.standard_normal(3 * 2 * 2 * 2)
-    check("avg_pool", lambda: _scalarize(T.avg_pool(p4, 2), w), [p4])
+    # Integer images and kernels with half-integer biases keep every
+    # pre-activation at least 0.5 from the ReLU kink.
+    def grid(shape, offset=0.0):
+        return Tensor(rng.integers(-2, 3, size=shape) + offset, requires_grad=True)
 
-    xc = _param(rng, (2, 3, 5, 5))
-    wc = _param(rng, (4, 3, 3, 3))
-    bc = _param(rng, (4,))
-    w = rng.standard_normal(2 * 4 * 5 * 5)
-    check("conv2d", lambda: _scalarize(T.conv2d(xc, wc, bc), w), [xc, wc, bc])
-    xn, wn, bn = _param(rng, (2, 2, 4, 7)), _param(rng, (3, 2, 5, 5)), _param(rng, (3,))
-    w = rng.standard_normal(2 * 3 * 4 * 7)
-    check("conv2d", lambda: _scalarize(T.conv2d(xn, wn, bn), w), [xn, wn, bn])
+    xc, wc, bc = grid((2, 3, 6, 6)), grid((4, 3, 3, 3)), grid((4,), 0.5)
+    w = rng.standard_normal(2 * 4 * 3 * 3)
+    check("conv_relu_pool", lambda: _scalarize(T.conv_relu_pool(xc, wc, bc), w), [xc, wc, bc])
+    xn, wn, bn = grid((2, 2, 4, 8)), grid((3, 2, 5, 5)), grid((3,), 0.5)
+    w = rng.standard_normal(2 * 3 * 2 * 4)
+    check("conv_relu_pool", lambda: _scalarize(T.conv_relu_pool(xn, wn, bn), w), [xn, wn, bn])
     # A plain-Tensor input takes the path that skips its gradient.
-    check("conv2d", lambda: _scalarize(T.conv2d(Tensor(xn.data), wn, bn), w), [wn, bn])
+    check("conv_relu_pool",
+          lambda: _scalarize(T.conv_relu_pool(Tensor(xn.data), wn, bn), w), [wn, bn])
 
     xl = _param(rng, (3, 4))
     wl = _param(rng, (4, 2))

@@ -78,7 +78,8 @@ class ModelDims:
 
 @dataclass
 class Backbone:
-    """Two 3x3 same-padded conv layers with a stride-2 mean pool after each,
+    """Two 3x3 same-padded conv layers, each with ReLU and a 2x2 mean pool in
+    one ``tensor.conv_relu_pool`` record (one GEMM on a channels-first im2col),
     run on all B*t frames of a (B, t, C, H, W) batch at once."""
 
     w1: Tensor
@@ -89,8 +90,8 @@ class Backbone:
     def apply(self, videos: Tensor) -> LowLevelFeature:
         n, t = videos.data.shape[:2]
         x = T.reshape(videos, (n * t,) + videos.data.shape[2:])
-        x = T.avg_pool(T.relu(T.conv2d(x, self.w1, self.b1)), 2)
-        x = T.avg_pool(T.relu(T.conv2d(x, self.w2, self.b2)), 2)
+        x = T.conv_relu_pool(x, self.w1, self.b1)
+        x = T.conv_relu_pool(x, self.w2, self.b2)
         return LowLevelFeature(T.reshape(x, (n, t) + x.data.shape[1:]))
 
 

@@ -9,6 +9,9 @@ the closures in exact reverse order of recording, accumulating cotangents into
 Broadcasting is deliberately limited to scalar*tensor (``scale``), per-row
 biases (``linear``) and per-frame weights (``scale_frames``); other
 mismatched shapes raise ShapeError.
+
+A backbone layer is one fused primitive, ``conv_relu_pool``: its convolution is
+one GEMM on a channels-first im2col matrix, which the weight gradient reuses.
 """
 
 from __future__ import annotations
@@ -242,7 +245,7 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# pooling and convolution
+# pooling and the backbone layer
 
 
 def mean(x: Tensor, axes) -> Tensor:
@@ -258,64 +261,60 @@ def mean(x: Tensor, axes) -> Tensor:
     return apply_primitive(x.data.mean(axis=axes), (x,), backward)
 
 
-def avg_pool(x: Tensor, k: int) -> Tensor:
-    """Mean over non-overlapping k x k windows of the last two axes of (N, C, H, W)."""
-    if x.data.ndim != 4 or k < 1 or x.data.shape[2] % k or x.data.shape[3] % k:
-        raise ShapeError(f"avg_pool: {k}x{k} windows do not tile shape {x.data.shape}")
-    # One strided view per window offset: summing k*k views is several times
-    # faster than a mean over two axes of a 6-D reshape.
-    offsets = [(..., slice(i, None, k), slice(j, None, k)) for i in range(k) for j in range(k)]
-    out = x.data[offsets[0]].copy()
-    for o in offsets[1:]:
-        out += x.data[o]
-    out /= k * k
-    xshape = x.data.shape
+def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """One backbone layer: 2x2 mean pool of relu(conv(x, w) + b), as one record.
 
-    def backward(g):
-        gx = np.empty(xshape)
-        gk = g / (k * k)
-        for o in offsets:
-            gx[o] = gk
-        return (gx,)
-
-    return apply_primitive(out, (x,), backward)
-
-
-def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Batched 2-D convolution with 'same' zero padding and stride 1.
-
-    x: (N, C_in, H, W); w: (C_out, C_in, kh, kw) with odd kh, kw; b: (C_out,).
-    Only what the tiny per-frame backbone needs.
+    x: (N, C_in, H, W) with even H, W; w: (C_out, C_in, kh, kw) with odd kh,
+    kw, applied with 'same' zero padding and stride 1; b: (C_out,). Returns
+    (N, C_out, H/2, W/2). A NaN pre-activation stays NaN, with gradient 0.
     """
     if x.data.ndim != 4 or w.data.ndim != 4 or b.data.ndim != 1:
         raise ShapeError(
-            f"conv2d: bad ranks x={x.data.shape} w={w.data.shape} b={b.data.shape}"
+            f"conv_relu_pool: bad ranks x={x.data.shape} w={w.data.shape} b={b.data.shape}"
         )
     N, Cin, H, W = x.data.shape
     Cout, Cin_w, kh, kw = w.data.shape
-    if Cin != Cin_w or b.data.shape[0] != Cout or kh % 2 == 0 or kw % 2 == 0:
+    if (Cin != Cin_w or b.data.shape[0] != Cout or kh % 2 == 0 or kw % 2 == 0
+            or H % 2 or W % 2):
         raise ShapeError(
-            f"conv2d: incompatible shapes x={x.data.shape} w={w.data.shape} b={b.data.shape}"
+            f"conv_relu_pool: incompatible shapes x={x.data.shape} w={w.data.shape} b={b.data.shape}"
         )
     ph, pw = kh // 2, kw // 2
-    xpad = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    windows = np.lib.stride_tricks.sliding_window_view(xpad, (kh, kw), axis=(2, 3))
-    out = np.einsum("nchwij,ocij->nohw", windows, w.data, optimize=True)
-    out += b.data[None, :, None, None]
-    wd, need_gx = w.data, x.requires_grad
+    # Channels-first im2col, rows (c, i, j) by columns (n, h, w): the cheapest
+    # copy order. Spent temporaries are dropped at once to keep the peak low.
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))), (kh, kw), axis=(2, 3))
+    cols = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3)).reshape(Cin * kh * kw, -1)
+    del windows
+    wm = w.data.reshape(Cout, -1)
+    y = wm @ cols
+    y += b.data[:, None]
+    mask = (y > 0).reshape(Cout, N, H, W)
+    np.maximum(y, 0.0, out=y)
+    # Sum row pairs (contiguous), then column pairs into the (N, C_out) output.
+    y = y.reshape(Cout, N, H // 2, 2, W)
+    y = (y[:, :, :, 0] + y[:, :, :, 1]).reshape(Cout, N, H // 2, W // 2, 2)
+    out = np.empty((N, Cout, H // 2, W // 2))
+    pooled = out.transpose(1, 0, 2, 3)
+    np.add(y[..., 0], y[..., 1], out=pooled)
+    pooled /= 4
+    need_gx = x.requires_grad
 
     def backward(g):
-        gw = np.einsum("nohw,nchwij->ocij", g, windows, optimize=True)
-        gb = g.sum(axis=(0, 2, 3))
+        # Upsample the cotangent one axis at a time, then mask it in place.
+        gy = np.repeat(np.repeat(g.transpose(1, 0, 2, 3) / 4, 2, axis=3), 2, axis=2)
+        gy *= mask
+        gy = gy.reshape(Cout, -1)
+        gw = (gy @ cols.T).reshape(w.data.shape)
+        gb = gy.sum(axis=1)
         if not need_gx:
             return None, gw, gb
-        # One GEMM per kernel offset on the channels-first cotangent; a single
-        # tensordot over all offsets builds a kh*kw times larger temporary.
-        gt = g.transpose(1, 0, 2, 3).reshape(Cout, N * H * W)
+        gcols = (wm.T @ gy).reshape(Cin, kh, kw, N, H, W)
+        del gy
         gxpad = np.zeros((Cin, N, H + 2 * ph, W + 2 * pw))
         for i in range(kh):
             for j in range(kw):
-                gxpad[:, :, i:i + H, j:j + W] += (wd[:, :, i, j].T @ gt).reshape(Cin, N, H, W)
+                gxpad[:, :, i:i + H, j:j + W] += gcols[:, i, j]
         return gxpad[:, :, ph:ph + H, pw:pw + W].transpose(1, 0, 2, 3), gw, gb
 
     return apply_primitive(out, (x, w, b), backward)

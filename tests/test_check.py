@@ -33,7 +33,7 @@ def results():
 
 def test_every_primitive_is_audited(results):
     primitives = _recording_functions()
-    assert {"conv2d", "compact_bilinear", "bilinear_logits", "weighted_bilinear",
+    assert {"conv_relu_pool", "compact_bilinear", "bilinear_logits", "weighted_bilinear",
             "reshape"} <= primitives
     missing = primitives - {r.name for r in results}
     assert not missing, f"primitives without a gradient check: {sorted(missing)}"

@@ -171,33 +171,50 @@ class TestLinear:
         assert gradient_error(make_loss, [x, w, b]) < 1e-6
 
 
+def taped_conv_relu_pool(x, w, b, g):
+    """conv_relu_pool under a tape, backpropagating sum(g * out) into the leaves."""
+    with T.Tape() as tape:
+        out = T.conv_relu_pool(x, w, b)
+        proj = t(g.reshape(-1, 1))
+        tape.backward(T.reshape(T.matmul(T.reshape(out, (1, g.size)), proj), ()))
+    return out
+
+
 class TestAvgPool:
+    """The 2x2 mean pool of conv_relu_pool, seen through an identity 1x1 kernel."""
+
+    @staticmethod
+    def pool(x):
+        c = x.data.shape[1]
+        return T.conv_relu_pool(x, t(np.eye(c).reshape(c, c, 1, 1)), t(np.zeros(c)))
+
     def test_constant(self):
-        x = t(np.full((4, 2, 6, 6), 3.0))
-        out = T.avg_pool(x, 2)
+        out = self.pool(t(np.full((4, 2, 6, 6), 3.0)))
         np.testing.assert_allclose(out.data, 3.0)
         assert out.data.shape == (4, 2, 3, 3)
 
     def test_two_point_mean(self):
-        x = t(np.array([[[[0.0, 2.0], [0.0, 2.0]]]]))
-        out = T.avg_pool(x, 2)
+        out = self.pool(t(np.array([[[[0.0, 2.0], [0.0, 2.0]]]])))
         np.testing.assert_allclose(out.data, 1.0)
         assert out.data.shape == (1, 1, 1, 1)
 
     def test_windows_must_tile(self):
-        with pytest.raises(ShapeError):
-            T.avg_pool(t(np.zeros((1, 1, 5, 4))), 2)
+        for shape in [(1, 1, 5, 4), (1, 1, 4, 5)]:
+            with pytest.raises(ShapeError):
+                self.pool(t(np.zeros(shape)))
 
     def test_gradcheck(self):
         rng = np.random.default_rng(9)
         x = t(rng.standard_normal((3, 2, 4, 4)), grad=True)
+        w = t(rng.standard_normal((2, 2, 3, 3)), grad=True)
+        b = t(rng.standard_normal(2), grad=True)
         proj = t(rng.standard_normal((24, 1)))
 
         def make_loss():
-            out = T.avg_pool(x, 2)
+            out = T.conv_relu_pool(x, w, b)
             return T.reshape(T.matmul(T.reshape(out, (1, 24)), proj), ())
 
-        assert gradient_error(make_loss, [x]) < 1e-6
+        assert gradient_error(make_loss, [x, w, b]) < 1e-6
 
 
 def conv2d_oracle(x, w, b, g):
@@ -220,50 +237,67 @@ def conv2d_oracle(x, w, b, g):
     return out, gx, gw, g.sum(axis=(0, 2, 3))
 
 
-def taped_conv2d(x, w, b, g):
-    """conv2d under a tape, backpropagating sum(g * out) into the leaves."""
-    with T.Tape() as tape:
-        out = T.conv2d(x, w, b)
-        proj = t(g.reshape(-1, 1))
-        tape.backward(T.reshape(T.matmul(T.reshape(out, (1, g.size)), proj), ()))
-    return out
+def conv_relu_pool_oracle(x, w, b, g):
+    """The loop convolution, numpy ReLU and a 2x2 mean, and the gradients of
+    sum(g * out) through all three."""
+    pre = conv2d_oracle(x, w, b, np.zeros(x.shape[:1] + w.shape[:1] + x.shape[2:]))[0]
+    n, c, h, wd = pre.shape
+    out = np.maximum(pre, 0).reshape(n, c, h // 2, 2, wd // 2, 2).mean(axis=(3, 5))
+    g_pre = np.repeat(np.repeat(g / 4, 2, axis=2), 2, axis=3) * (pre > 0)
+    return (out,) + conv2d_oracle(x, w, b, g_pre)[1:]
 
 
 class TestConv2d:
+    """The convolution of conv_relu_pool, checked through its ReLU and pool."""
+
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_matches_loop_oracle(self, k):
         rng = np.random.default_rng(k)
-        x = t(rng.standard_normal((2, 3, 5, 7)), grad=True)
+        x = t(rng.standard_normal((2, 3, 6, 8)), grad=True)
         w = t(rng.standard_normal((4, 3, k, k)), grad=True)
         b = t(rng.standard_normal(4), grad=True)
-        g = rng.standard_normal((2, 4, 5, 7))
-        out = taped_conv2d(x, w, b, g)
-        expected = conv2d_oracle(x.data, w.data, b.data, g)
+        g = rng.standard_normal((2, 4, 3, 4))
+        out = taped_conv_relu_pool(x, w, b, g)
+        expected = conv_relu_pool_oracle(x.data, w.data, b.data, g)
         for got, want in zip((out.data, x.grad, w.grad, b.grad), expected):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
     def test_input_without_grad_gets_none(self):
         rng = np.random.default_rng(4)
         xd = rng.standard_normal((2, 3, 6, 4))
-        g = rng.standard_normal((2, 5, 6, 4))
+        g = rng.standard_normal((2, 5, 3, 2))
         w = t(rng.standard_normal((5, 3, 3, 3)), grad=True)
         b = t(rng.standard_normal(5), grad=True)
         x = t(xd)
-        taped_conv2d(x, w, b, g)
+        taped_conv_relu_pool(x, w, b, g)
         assert x.grad is None
         w_ref = t(w.data, grad=True)
         b_ref = t(b.data, grad=True)
-        taped_conv2d(t(xd, grad=True), w_ref, b_ref, g)
+        taped_conv_relu_pool(t(xd, grad=True), w_ref, b_ref, g)
         np.testing.assert_array_equal(w.grad, w_ref.grad)
         np.testing.assert_array_equal(b.grad, b_ref.grad)
 
     def test_even_kernel(self):
         with pytest.raises(ShapeError):
-            T.conv2d(t(np.zeros((1, 2, 4, 4))), t(np.zeros((3, 2, 2, 2))), t(np.zeros(3)))
+            T.conv_relu_pool(t(np.zeros((1, 2, 4, 4))), t(np.zeros((3, 2, 2, 2))), t(np.zeros(3)))
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            T.conv2d(t(np.zeros((1, 2, 4, 4))), t(np.zeros((3, 4, 3, 3))), t(np.zeros(3)))
+            T.conv_relu_pool(t(np.zeros((1, 2, 4, 4))), t(np.zeros((3, 4, 3, 3))), t(np.zeros(3)))
+
+    def test_nan_pixel_stays_nan(self):
+        rng = np.random.default_rng(6)
+        xd = rng.standard_normal((2, 3, 8, 8))
+        xd[0, 1, 2, 5] = np.nan
+        w = t(rng.standard_normal((4, 3, 3, 3)), grad=True)
+        with np.errstate(invalid="raise"):
+            out = T.conv_relu_pool(t(xd), w, t(rng.standard_normal(4)))
+        nan = np.isnan(out.data)
+        # The pixel reaches conv outputs in rows 1-3 and columns 4-6: pooled
+        # rows 0-1 and columns 2-3 of the first video, in every channel.
+        expected = np.zeros_like(nan)
+        expected[0, :, 0:2, 2:4] = True
+        np.testing.assert_array_equal(nan, expected)
 
 
 class TestFrameSlice:
