@@ -28,25 +28,20 @@ def attention_weights(logits: Tensor) -> Tensor:
     return T.softmax(T.sigmoid(logits))
 
 
-def temporal_weights(pairs: Tensor, proj: Tensor) -> Tensor:
-    """Attention weights over frame pairs, from their features.
+def temporal_weights(maps: Tensor, proj: Tensor) -> Tensor:
+    """Attention weights over frame pairs, from their feature maps.
 
-    Pair features (B, t-1, C), or maps (B, t-1, C, H, W) averaged over space,
-    are projected by the (C, 1) ``proj`` to one logit each, then squashed by
-    ``attention_weights``: alpha has shape (B, t-1). ``extract_actf`` computes
-    the same logits from the frames by ``sketch.bilinear_logits``.
+    Pair maps (B, t-1, C, H, W) are averaged over space and projected by the
+    (C, 1) ``proj`` to one logit each, then squashed by ``attention_weights``:
+    alpha has shape (B, t-1). ``extract_actf`` computes the same logits from
+    the frames by ``sketch.bilinear_logits``.
     """
     c = proj.data.shape[0]
-    if pairs.data.ndim == 5:
-        pairs = T.mean(pairs, (3, 4))
-    if pairs.data.ndim != 3 or pairs.data.shape[2] != c:
-        raise ShapeError(
-            f"temporal_weights: pair features {pairs.data.shape} are not "
-            f"(B, t-1, {c}) or (B, t-1, {c}, H, W)"
-        )
-    b, p = pairs.data.shape[:2]
-    logits = T.reshape(T.matmul(T.reshape(pairs, (b * p, c)), proj), (b, p))
-    return attention_weights(logits)
+    if maps.data.ndim != 5 or maps.data.shape[2] != c:
+        raise ShapeError(f"temporal_weights: pair maps {maps.data.shape} are not (B, t-1, {c}, H, W)")
+    b, p = maps.data.shape[:2]
+    pooled = T.reshape(T.mean(maps, (3, 4)), (b * p, c))
+    return attention_weights(T.reshape(T.matmul(pooled, proj), (b, p)))
 
 
 @dataclass

@@ -12,15 +12,47 @@ mismatched shapes raise ShapeError.
 
 A backbone layer is one fused primitive, ``conv_relu_pool``: its convolution is
 one GEMM on a channels-first im2col matrix, which the weight gradient reuses.
+
+On import, glibc's malloc is told to keep freed arrays up to 128 MiB on its
+heap and not to trim the heap top, so a training step reuses its memory
+instead of faulting it in again (see ``_pin_malloc_thresholds``).
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 
 from .errors import InputError, ShapeError
 
 _ACTIVE_TAPE = None
+
+
+def _pin_malloc_thresholds() -> None:
+    """Keep freed arrays up to 128 MiB on the C heap, and its top untrimmed.
+
+    By default glibc gives each block above an adaptive threshold (128 KiB,
+    growing to at most 32 MiB) its own mapping, and returns free memory at
+    the heap top beyond twice that threshold to the kernel. Each backward
+    then hands its arrays back and the next step faults them in again,
+    4 KiB at a time. Both thresholds are fixed: fixing the trim threshold
+    alone freezes the mmap threshold at 128 KiB, so every larger array is
+    mapped and unmapped on each use. Resident memory then stays at its peak.
+    A C library without ``mallopt`` is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no process handle, or no mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # from glibc's <malloc.h>
+    mallopt(m_mmap_threshold, 128 << 20)
+    mallopt(m_trim_threshold, 1 << 30)
+
+
+_pin_malloc_thresholds()
 
 
 class Tensor:
@@ -80,6 +112,12 @@ class Tape:
                 t.grad = g if t.grad is None else t.grad + g
 
 
+def _recording(inputs) -> bool:
+    """Whether an op on ``inputs`` will be recorded: a tape is active and some
+    input requires a gradient. A primitive may skip state only its backward uses."""
+    return _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs)
+
+
 def apply_primitive(data, inputs, backward) -> Tensor:
     """Create an op output, recording ``backward`` on the active tape.
 
@@ -91,7 +129,7 @@ def apply_primitive(data, inputs, backward) -> Tensor:
     custom backward rules.
     """
     out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs))
-    if _ACTIVE_TAPE is not None and out.requires_grad:
+    if _recording(inputs):
         _ACTIVE_TAPE._records.append((tuple(inputs), out, backward))
     return out
 
@@ -132,7 +170,7 @@ def scale(x: Tensor, s) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     """max(x, 0) elementwise; a NaN input stays NaN, with gradient 0 there."""
-    mask = x.data > 0
+    mask = x.data > 0 if _recording((x,)) else None
     return apply_primitive(np.maximum(x.data, 0.0), (x,), lambda g: (g * mask,))
 
 
@@ -289,7 +327,7 @@ def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     wm = w.data.reshape(Cout, -1)
     y = wm @ cols
     y += b.data[:, None]
-    mask = (y > 0).reshape(Cout, N, H, W)
+    mask = (y > 0).reshape(Cout, N, H, W) if _recording((x, w, b)) else None
     np.maximum(y, 0.0, out=y)
     # Sum row pairs (contiguous), then column pairs into the (N, C_out) output.
     y = y.reshape(Cout, N, H // 2, 2, W)

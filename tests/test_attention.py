@@ -66,19 +66,22 @@ class TestTemporalWeights:
         np.testing.assert_allclose(alpha_p, alpha[:, perm], atol=1e-12)
 
     def test_maps_pool_to_features(self):
-        # feature maps give the weights of their spatial means, and pooled
-        # (B, t-1, C) features are taken as they are
+        # each video's maps are averaged over space, then projected, squashed
+        # and normalized across its own pairs only
         rng = np.random.default_rng(6)
         attn = A.init_temporal_attention(4, rng)
-        maps = t(rng.standard_normal((2, 3, 4, 2, 5)))
-        pooled = t(maps.data.mean(axis=(3, 4)))
-        np.testing.assert_allclose(A.temporal_weights(maps, attn).data,
-                                   A.temporal_weights(pooled, attn).data, atol=1e-15)
-        assert A.temporal_weights(pooled, attn).data.shape == (2, 3)
+        maps = rng.standard_normal((2, 3, 4, 2, 5))
+        alpha = A.temporal_weights(t(maps), attn).data
+        assert alpha.shape == (2, 3)
+        for v in range(2):
+            raw = np.array([maps[v, k].mean(axis=(1, 2)) @ attn.data[:, 0] for k in range(3)])
+            s = 1.0 / (1.0 + np.exp(-raw))
+            np.testing.assert_allclose(alpha[v], np.exp(s) / np.exp(s).sum(), atol=1e-12)
 
     def test_bad_shapes(self):
+        # pooled (B, t-1, C) features are refused: only maps are taken
         attn = A.init_temporal_attention(4, np.random.default_rng(7))
-        for shape in ((2, 3, 5), (3, 4), (2, 3, 4, 2)):
+        for shape in ((2, 3, 4), (3, 4), (2, 3, 4, 2), (2, 3, 5, 2, 2)):
             with pytest.raises(ShapeError):
                 A.temporal_weights(t(np.zeros(shape)), attn)
 

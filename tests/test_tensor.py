@@ -417,6 +417,20 @@ class TestTape:
             with pytest.raises(ShapeError):
                 tape.backward(y)
 
+    def test_untaped_forward_matches_taped(self):
+        # relu and conv_relu_pool keep their ReLU mask only for a record;
+        # the forward value is the same bit for bit either way
+        rng = np.random.default_rng(10)
+        x = t(rng.standard_normal((2, 3, 6, 4)), grad=True)
+        w = t(rng.standard_normal((4, 3, 3, 3)), grad=True)
+        b = t(rng.standard_normal(4), grad=True)
+        ops = (lambda: T.relu(x), lambda: T.conv_relu_pool(x, w, b))
+        untaped = [op().data for op in ops]
+        with T.Tape():
+            taped = [op().data for op in ops]
+        for u, v in zip(untaped, taped):
+            np.testing.assert_array_equal(u, v)
+
     def test_no_grad_outside_tape(self):
         x = t([1.0], grad=True)
         y = T.add(x, x)

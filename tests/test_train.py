@@ -1,7 +1,9 @@
 """Optimizer, learning-rate schedule, and training-loop tests."""
 
+import ctypes
 import dataclasses
 import json
+import resource
 
 import numpy as np
 import pytest
@@ -184,6 +186,25 @@ class TestFit:
         rep = reports[1e6]
         assert rep.nonfinite_at == (1, 1) and rep.nonfinite_tensor == "backbone.w1"
         assert len(rep.epochs) == 2 and np.isnan(rep.epochs[1].loss)
+
+    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                        reason="the C library has no mallopt")
+    def test_steady_state_step_does_not_fault(self):
+        # tensor.py pins the allocator's thresholds, so once one fit has
+        # warmed the heap, another fit and evaluate reuse its memory
+        # instead of faulting pages in again (about 8k faults without)
+        ds = D.generate(D.SyntheticTask(kind="direction4", per_class=8,
+                                        height=24, width=24, seed=0))
+        dims = M.ModelDims(frames=8, height=24, width=24, conv1_channels=8,
+                           out_channels=64, sketch_dim=256, n_classes=4)
+        cfg = TR.TrainConfig(lr0=0.05, epochs=1, batch_size=16, seed=0)
+        TR.fit(M.init_params(dims, 0, "full"), ds, cfg)
+        p = M.init_params(dims, 1, "full")
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        TR.fit(p, ds, cfg)
+        TR.evaluate(p, ds)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 1000, faults
 
     def test_tsv_has_header(self, tmp_path):
         # a zero-epoch run still writes the epoch table's column header
