@@ -189,6 +189,15 @@ def run_audit(seed: int = 0) -> list:
           lambda: _scalarize(fuse_pair(fa, fb, fw), w),
           [fa, fb, fw.raw_a, fw.raw_b])
 
+    # One row or one column: each weight gradient is an outer product.
+    x1, w1, b1 = _param(rng, (1, 4)), _param(rng, (4, 2)), _param(rng, (2,))
+    w = rng.standard_normal(2)
+    check("linear", lambda: _scalarize(T.linear(x1, w1, b1), w), [x1, w1, b1])
+    check("matmul", lambda: _scalarize(T.matmul(x1, w1), w), [x1, w1])
+    a1, c1 = _param(rng, (3, 4)), _param(rng, (4, 1))
+    w = rng.standard_normal(3)
+    check("matmul", lambda: _scalarize(T.matmul(a1, c1), w), [a1, c1])
+
     results.append(model_audit(seed))
     return results
 

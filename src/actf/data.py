@@ -72,7 +72,8 @@ def _check_fits(task: SyntheticTask, span: int) -> None:
     if _BLOB + span > min(task.height, task.width):
         raise ConfigError(
             f"blob ({_BLOB}px) plus trajectory span ({span}px) exceeds the "
-            f"{task.height}x{task.width} frame"
+            f"{task.height}x{task.width} frame; the smallest side that fits is "
+            f"{_BLOB + span}px (set 'height' and 'width' through --config)"
         )
 
 

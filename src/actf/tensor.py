@@ -12,6 +12,9 @@ mismatched shapes raise ShapeError.
 
 A backbone layer is one fused primitive, ``conv_relu_pool``: its convolution is
 one GEMM on a channels-first im2col matrix, which the weight gradient reuses.
+The backward products of ``linear`` and ``matmul`` use ``np.dot``: at one row
+they are outer products, which ``@`` computes in its own loop and ``np.dot``
+through BLAS.
 
 On import, glibc's malloc is told to keep freed arrays up to 128 MiB on its
 heap and not to trim the heap top, so a training step reuses its memory
@@ -202,7 +205,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
     ad, bd = a.data, b.data
-    return apply_primitive(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+    # np.dot, not @: @ runs an outer (inner size 1) product outside BLAS.
+    return apply_primitive(ad @ bd, (a, b), lambda g: (np.dot(g, bd.T), np.dot(ad.T, g)))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -214,7 +218,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     xd, wd = x.data, w.data
 
     def backward(g):
-        return g @ wd.T, xd.T @ g, g.sum(axis=0)
+        # np.dot, not @: @ runs an outer (inner size 1) product outside BLAS.
+        return g @ wd.T, np.dot(xd.T, g), g.sum(axis=0)
 
     return apply_primitive(xd @ wd + b.data, (x, w, b), backward)
 

@@ -346,6 +346,18 @@ def test_config_value_of_wrong_type(tmp_path, capsys, key, value):
     assert f"config key {key!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task", ["speed2", "mixed8"])
+def test_default_frame_too_small_names_the_fix(tmp_path, capsys, task):
+    # the fast blob's span needs 28px frames; the default is 24x24
+    out = tmp_path / "out"
+    assert cli.main(["train", "--task", task, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "the smallest side that fits is 28px" in err
+    assert "set 'height' and 'width' through --config" in err
+    assert not out.exists()
+    D.generate(D.SyntheticTask(kind=task, height=28, width=28, per_class=1))
+
+
 def test_config_must_be_object(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[]")

@@ -13,6 +13,21 @@ def t(x, grad=False):
     return T.Tensor(np.asarray(x, dtype=np.float64), requires_grad=grad)
 
 
+def taped(make_out, g):
+    """make_out() under a tape, backpropagating sum(g * out) into the leaves.
+
+    The output's cotangent is exactly g."""
+    with T.Tape() as tape:
+        out = make_out()
+        proj = t(g.reshape(-1, 1))
+        tape.backward(T.reshape(T.matmul(T.reshape(out, (1, g.size)), proj), ()))
+    return out
+
+
+def assert_c_f64(a):
+    assert a.dtype == np.float64 and a.flags.c_contiguous
+
+
 class TestMatmul:
     def test_identity(self):
         a = t(np.eye(2))
@@ -36,6 +51,23 @@ class TestMatmul:
                                       t(w.reshape(6, 1))), ())
 
         assert gradient_error(make_loss, [a, b]) < 1e-6
+
+    @pytest.mark.parametrize("shape_a, shape_b", [((1, 4), (4, 3)), ((3, 4), (4, 1))],
+                             ids=["one-row", "one-column"])
+    def test_rank_one_gradients_are_outer_products(self, shape_a, shape_b):
+        # one row of a makes b's gradient an outer product, one column of b
+        # makes a's; both are the exact products, in C order
+        rng = np.random.default_rng(2)
+        a = t(rng.standard_normal(shape_a), grad=True)
+        b = t(rng.standard_normal(shape_b), grad=True)
+        g = rng.standard_normal((shape_a[0], shape_b[1]))
+        taped(lambda: T.matmul(a, b), g)
+        if shape_a[0] == 1:
+            np.testing.assert_array_equal(b.grad, np.outer(a.data[0], g[0]))
+        else:
+            np.testing.assert_array_equal(a.grad, np.outer(g[:, 0], b.data[:, 0]))
+        assert_c_f64(a.grad)
+        assert_c_f64(b.grad)
 
 
 class TestElementwise:
@@ -170,14 +202,27 @@ class TestLinear:
 
         assert gradient_error(make_loss, [x, w, b]) < 1e-6
 
+    def test_one_row_weight_gradient_is_outer_product(self):
+        # batch 1: the exact outer product, in the C layout the optimizer's
+        # velocity has
+        rng = np.random.default_rng(25)
+        x = t(rng.standard_normal((1, 6)))
+        w = t(rng.standard_normal((6, 3)), grad=True)
+        b = t(rng.standard_normal(3), grad=True)
+        g = rng.standard_normal((1, 3))
+        taped(lambda: T.linear(x, w, b), g)
+        np.testing.assert_array_equal(w.grad, np.outer(x.data[0], g[0]))
+        assert_c_f64(w.grad)
 
-def taped_conv_relu_pool(x, w, b, g):
-    """conv_relu_pool under a tape, backpropagating sum(g * out) into the leaves."""
-    with T.Tape() as tape:
-        out = T.conv_relu_pool(x, w, b)
-        proj = t(g.reshape(-1, 1))
-        tape.backward(T.reshape(T.matmul(T.reshape(out, (1, g.size)), proj), ()))
-    return out
+    def test_many_row_weight_gradient_matches_matmul(self):
+        rng = np.random.default_rng(26)
+        x = t(rng.standard_normal((16, 6)))
+        w = t(rng.standard_normal((6, 3)), grad=True)
+        b = t(rng.standard_normal(3), grad=True)
+        g = rng.standard_normal((16, 3))
+        taped(lambda: T.linear(x, w, b), g)
+        np.testing.assert_array_equal(w.grad, x.data.T @ g)
+        assert_c_f64(w.grad)
 
 
 class TestAvgPool:
@@ -257,7 +302,7 @@ class TestConv2d:
         w = t(rng.standard_normal((4, 3, k, k)), grad=True)
         b = t(rng.standard_normal(4), grad=True)
         g = rng.standard_normal((2, 4, 3, 4))
-        out = taped_conv_relu_pool(x, w, b, g)
+        out = taped(lambda: T.conv_relu_pool(x, w, b), g)
         expected = conv_relu_pool_oracle(x.data, w.data, b.data, g)
         for got, want in zip((out.data, x.grad, w.grad, b.grad), expected):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
@@ -269,11 +314,11 @@ class TestConv2d:
         w = t(rng.standard_normal((5, 3, 3, 3)), grad=True)
         b = t(rng.standard_normal(5), grad=True)
         x = t(xd)
-        taped_conv_relu_pool(x, w, b, g)
+        taped(lambda: T.conv_relu_pool(x, w, b), g)
         assert x.grad is None
         w_ref = t(w.data, grad=True)
         b_ref = t(b.data, grad=True)
-        taped_conv_relu_pool(t(xd, grad=True), w_ref, b_ref, g)
+        taped(lambda: T.conv_relu_pool(t(xd, grad=True), w_ref, b_ref), g)
         np.testing.assert_array_equal(w.grad, w_ref.grad)
         np.testing.assert_array_equal(b.grad, b_ref.grad)
 
