@@ -105,10 +105,9 @@ def _frame_pairs(x: Tensor):
     return T.frame_slice(x, 0, t - 1), T.frame_slice(x, 1, t)
 
 
-def extract_iccf(F: LowLevelFeature, plan: SketchPlan, attn: Tensor,
-                 attend: bool = True) -> Tensor:
+def extract_iccf(F: LowLevelFeature, plan: SketchPlan, attn: Tensor) -> Tensor:
     """Per-pair compact bilinear correlation (B, t-1, d, H, W), each pair scaled
-    by its temporal attention weight; with ``attend`` off every weight is 1."""
+    by its temporal attention weight."""
     x = F.batch
     n, t, c, h, w = x.data.shape
     # Every pair at every location goes through the sketch as one (B*(t-1)*H*W, C) batch.
@@ -116,7 +115,7 @@ def extract_iccf(F: LowLevelFeature, plan: SketchPlan, attn: Tensor,
     first, second = _frame_pairs(x)
     cb = compact_bilinear(rows(first), rows(second), plan)
     b = T.transpose(T.reshape(cb, (n, t - 1, h, w, plan.output_dim)), (0, 1, 4, 2, 3))
-    return T.scale_frames(b, temporal_weights(b, attn)) if attend else b
+    return T.scale(b, temporal_weights(b, attn))
 
 
 def extract_imf(F: LowLevelFeature) -> Tensor:

@@ -127,7 +127,7 @@ def run_audit(seed: int = 0) -> list:
     check("frame_slice", lambda: _scalarize(T.frame_slice(p5, 1, 3), w), [p5])
     alpha = _param(rng, (2, 3))
     w = rng.standard_normal(p5.data.size)
-    check("scale_frames", lambda: _scalarize(T.scale_frames(p5, alpha), w), [p5, alpha])
+    check("scale", lambda: _scalarize(T.scale(p5, alpha), w), [p5, alpha])
     w = rng.standard_normal(2 * 2)
     check("mean", lambda: _scalarize(T.mean(p5, (1, 3, 4)), w), [p5])
 

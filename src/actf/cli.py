@@ -284,15 +284,12 @@ def sketch_errors(c: int, d: int, trials: int, seed: int) -> np.ndarray:
     """
     rng = np.random.default_rng(seed)
     plan = make_plan(c, d, seed)
-    errs = np.empty(trials)
-    for k in range(trials):
-        x, y, u, v = (Tensor(rng.uniform(0.0, 1.0, c)) for _ in range(4))
-        ci = compact_bilinear(x, y, plan)
-        cj = compact_bilinear(u, v, plan)
-        approx = float(np.dot(ci.data, cj.data))
-        exact = float(np.dot(x.data, u.data) * np.dot(y.data, v.data))
-        errs[k] = abs(approx - exact) / max(abs(exact), 1e-12)
-    return errs
+    x, y, u, v = (Tensor(a) for a in np.moveaxis(rng.uniform(0.0, 1.0, (trials, 4, c)), 1, 0))
+    # Each trial's dot product as a (1, n) @ (n, 1) product, summed as np.dot sums it.
+    dot = lambda a, b: (a[:, None] @ b[:, :, None])[:, 0, 0]
+    approx = dot(compact_bilinear(x, y, plan).data, compact_bilinear(u, v, plan).data)
+    exact = dot(x.data, u.data) * dot(y.data, v.data)
+    return np.abs(approx - exact) / np.maximum(np.abs(exact), 1e-12)
 
 
 def cmd_gradcheck(args) -> int:

@@ -6,9 +6,8 @@ input requires gradients, records a backward closure. ``Tape.backward`` replays
 the closures in exact reverse order of recording, accumulating cotangents into
 ``Tensor.grad``.
 
-Broadcasting is deliberately limited to scalar*tensor (``scale``), per-row
-biases (``linear``) and per-frame weights (``scale_frames``); other
-mismatched shapes raise ShapeError.
+Broadcasting is deliberately limited to weights over leading axes (``scale``)
+and per-row biases (``linear``); other mismatched shapes raise ShapeError.
 
 A backbone layer is one fused primitive, ``conv_relu_pool``: its convolution is
 one GEMM on a channels-first im2col matrix, which the weight gradient reuses.
@@ -157,18 +156,16 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(x: Tensor, s) -> Tensor:
-    """Multiply a tensor by a scalar; ``s`` may be a float or a scalar Tensor."""
-    if isinstance(s, Tensor):
-        if s.data.shape != ():
-            raise ShapeError(f"scale: scalar operand has shape {s.data.shape}")
-        xd, sd = x.data, float(s.data)
-
-        def backward(g):
-            return g * sd, np.asarray(np.sum(g * xd))
-
-        return apply_primitive(xd * sd, (x, s), backward)
-    sv = float(s)
-    return apply_primitive(x.data * sv, (x,), lambda g: (g * sv,))
+    """Multiply x by a weight: a float, or a Tensor shaped like x's leading
+    axes, so that a 0-d weight scales all of x and a (B, P) one each x[i, j]."""
+    if not isinstance(s, Tensor):
+        sv = float(s)
+        return apply_primitive(x.data * sv, (x,), lambda g: (g * sv,))
+    xd, k = x.data, s.data.ndim
+    if s.data.shape != xd.shape[:k]:
+        raise ShapeError(f"scale: weight {s.data.shape} does not match leading axes of {xd.shape}")
+    sd, rest = s.data[(...,) + (None,) * (xd.ndim - k)], tuple(range(k, xd.ndim))
+    return apply_primitive(xd * sd, (x, s), lambda g: (g * sd, np.asarray(np.sum(g * xd, axis=rest))))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -252,22 +249,6 @@ def frame_slice(x: Tensor, start: int, stop: int) -> Tensor:
         return (gx,)
 
     return apply_primitive(x.data[:, start:stop], (x,), backward)
-
-
-def scale_frames(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply each slice x[i, j, ...] by s[i, j], for weights ``s`` with the leading shape of ``x``."""
-    k = s.data.ndim
-    if k < 1 or s.data.shape != x.data.shape[:k]:
-        raise ShapeError(
-            f"scale_frames: weight shape {s.data.shape} does not match leading axes of {x.data.shape}"
-        )
-    xd, sd = x.data, s.data
-    expand = (...,) + (None,) * (xd.ndim - k)
-
-    def backward(g):
-        return g * sd[expand], (g * xd).sum(axis=tuple(range(k, xd.ndim)))
-
-    return apply_primitive(xd * sd[expand], (x, s), backward)
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:

@@ -30,12 +30,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr0 <= 0:
+        if not self.lr0 > 0:
             raise ConfigError("TrainConfig: lr0 must be > 0")
         if not 0 <= self.decay_factor < 1:
             raise ConfigError("TrainConfig: decay_factor must be in [0, 1)")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("TrainConfig: bad epochs/batch_size")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"TrainConfig: momentum must be in [0, 1), got {self.momentum}")
+        if not self.weight_decay >= 0:
+            raise ConfigError(f"TrainConfig: weight_decay must be >= 0, got {self.weight_decay}")
+        if any(e < 0 for e in self.decay_epochs):
+            raise ConfigError(f"TrainConfig: decay_epochs must be >= 0, got {self.decay_epochs}")
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:

@@ -89,10 +89,12 @@ class TestIccf:
                                    atol=1e-10)
 
     def test_attend_false_unit_weights(self):
+        # a zero projection weights each of the t-1 = 3 pairs 1/3, so three
+        # times its maps are the unattended ones
         rng = np.random.default_rng(4)
         p = _params(c_out=3, d=8)
         F = B.LowLevelFeature(t(rng.standard_normal((4, 3, 2, 2))))
-        raw = B.extract_iccf(F, p.plan, p.attn, attend=False).data
+        raw = 3 * B.extract_iccf(F, p.plan, t(np.zeros((8, 1)))).data
         alpha = A.temporal_weights(t(raw), p.attn).data
         weighted = B.extract_iccf(F, p.plan, p.attn).data
         np.testing.assert_allclose(weighted, raw * alpha[:, :, None, None, None],
@@ -210,7 +212,10 @@ class TestExtractActf:
         p.pair_fusion.raw_a.data = np.asarray(0.7)
         F = B.LowLevelFeature(t(rng.uniform(0.0, 1.0, shape)))
         attend = kw.get("attend", True)
-        iccf = B.extract_iccf(F, p.plan, p.attn, attend=attend)
+        if attend:
+            iccf = B.extract_iccf(F, p.plan, p.attn)
+        else:   # a zero projection weights every pair 1/(t-1)
+            iccf = T.scale(B.extract_iccf(F, p.plan, t(np.zeros((8, 1)))), F.frames - 1)
         imf = B.extract_imf(F)
         if kw.get("imf_weight_zero"):
             h = T.concat_channels(iccf, T.scale(imf, 0.0))

@@ -1,7 +1,9 @@
 """The gradient audit covers every tape primitive."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -26,6 +28,29 @@ def _recording_functions():
     }
 
 
+def _called_outside_audit():
+    """Functions called in the actf sources other than check.py, as f(...) or
+    as module.f(...) through a module imported from the package."""
+    called = set()
+    for path in pathlib.Path(actf.__file__).parent.glob("*.py"):
+        if path.name == "check.py":
+            continue
+        tree = ast.parse(path.read_text())
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level and not node.module
+                   for alias in node.names}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name):
+                called.add(f.id)
+            elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                  and f.value.id in modules):
+                called.add(f.attr)
+    return called
+
+
 @pytest.fixture(scope="module")
 def results():
     return C.run_audit()
@@ -38,6 +63,12 @@ def test_every_primitive_is_audited(results):
     missing = primitives - {r.name for r in results}
     assert not missing, f"primitives without a gradient check: {sorted(missing)}"
     assert all(r.ok for r in results), [r for r in results if not r.ok]
+
+
+def test_every_primitive_runs_outside_the_audit():
+    # a primitive that only the audit and the tests call is API nothing uses
+    unused = _recording_functions() - _called_outside_audit()
+    assert not unused, f"primitives called only by check.py or the tests: {sorted(unused)}"
 
 
 def test_every_check_names_a_function(results):

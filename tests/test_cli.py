@@ -7,6 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from actf import check as C
 from actf import cli
 from actf import data as D
 from actf import model as M
@@ -268,6 +269,21 @@ def test_eval_refuses_conflicting_dims(tmp_path, tiny_cfg):
     assert rc == 2
 
 
+def test_eval_refuses_manifest_of_other_shape(tmp_path, tiny_cfg, capsys):
+    out = str(tmp_path / "out")
+    assert cli.main(["train", "--config", tiny_cfg, "--out", out, "--epochs", "0"]) == 0
+    # 20x20 frames against a checkpoint trained on 16x16
+    ds = D.generate(D.SyntheticTask(kind="direction4", frames=4, height=20,
+                                    width=20, per_class=1, seed=9))
+    manifest = D.save_dataset(tmp_path / "data", ds)
+    rc = cli.main(["eval", "--checkpoint", os.path.join(out, "checkpoint.ckpt"),
+                   "--manifest", manifest, "--out", str(tmp_path / "ev")])
+    assert rc == 2
+    assert "dataset sample shapes [(4, 3, 20, 20)] conflict with checkpoint dims (4, 3, 16, 16)" \
+        in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "ev")
+
+
 def test_eval_missing_checkpoint(tmp_path):
     rc = cli.main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt"),
                    "--out", str(tmp_path / "ev")])
@@ -346,6 +362,19 @@ def test_config_value_of_wrong_type(tmp_path, capsys, key, value):
     assert f"config key {key!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("momentum", -1.0), ("momentum", 1.5), ("weight_decay", -0.5), ("decay_epochs", [-1]),
+    ("lr0", float("nan")),
+])
+def test_bad_optimizer_setting_usage_error(tmp_path, capsys, key, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(TINY, **{key: value})))
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(bad), "--out", str(out)]) == 2
+    assert f"TrainConfig: {key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("task", ["speed2", "mixed8"])
 def test_default_frame_too_small_names_the_fix(tmp_path, capsys, task):
     # the fast blob's span needs 28px frames; the default is 24x24
@@ -419,3 +448,12 @@ def test_sketchbench_refuses_bad_config(tmp_path, capsys, key, value):
 
 def test_gradcheck_exits_zero():
     assert cli.main(["gradcheck", "--out", ""]) == 0
+
+
+def test_gradcheck_failure_exits_one(monkeypatch, capsys):
+    results = [C.CheckResult("matmul", 0.5, 1e-4), C.CheckResult("add", 0.0, 1e-4)]
+    monkeypatch.setattr(C, "run_audit", lambda seed=0: results)
+    assert cli.main(["gradcheck"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL matmul" in captured.out
+    assert captured.err == "gradient check failed: matmul\n"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from actf import data as D
+from actf._io import atomic_write_bytes
 from actf.errors import ConfigError, FormatError
 from actf.tensor import Tensor
 
@@ -133,6 +134,31 @@ class TestTensorFormat:
         struct.pack_into("<H", raw, 4, 9)
         with pytest.raises(FormatError):
             D.tensor_from_bytes(bytes(raw))
+
+    @pytest.mark.parametrize("header, message", [
+        (struct.pack("<HH", 1, 0), r"at byte 9: empty dims \(rank 0\)"),
+        (struct.pack("<HHI", 1, 3, 2), r"at byte 11: truncated dim list \(rank 3\)"),
+        (struct.pack("<HHII", 1, 2, 3, 0), r"at byte 11: zero extent in dims \(3, 0\)"),
+    ], ids=["rank-0", "truncated-dims", "zero-extent"])
+    def test_bad_dims_name_their_byte(self, header, message):
+        # three bytes before the tensor: each offset counts from the buffer's start
+        with pytest.raises(FormatError, match=message):
+            D.tensor_from_bytes(b"pad" + b"ACTF" + header, 3)
+
+    def test_trailing_bytes_name_their_byte(self, tmp_path):
+        path = tmp_path / "x.actf"
+        path.write_bytes(D.tensor_to_bytes(Tensor(1.0)) + b"xy")
+        with pytest.raises(FormatError, match="at byte 16: 2 trailing bytes"):
+            D.read_tensor(path)
+
+    def test_failed_write_keeps_target(self, tmp_path):
+        # a write that fails leaves the old file as it was and no temp file
+        path = tmp_path / "x.actf"
+        path.write_bytes(b"old")
+        with pytest.raises(TypeError):
+            atomic_write_bytes(path, "not bytes")
+        assert path.read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.actf"]
 
     def test_file_round_trip(self, tmp_path):
         x = Tensor(np.random.default_rng(9).standard_normal((2, 7))

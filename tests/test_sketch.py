@@ -204,7 +204,7 @@ class TestPooledBilinear:
         def weighted(f, w, pooled):
             if pooled:
                 return S.weighted_bilinear(f, w, plan)
-            return T.scale(T.mean(T.scale_frames(pair_sketches(f), w), (1,)), float(p))
+            return T.scale(T.mean(T.scale(pair_sketches(f), w), (1,)), float(p))
 
         for op, other0, wout in ((logits, proj0, wz), (weighted, w0, ws)):
             def run(pooled):

@@ -371,14 +371,34 @@ class TestScaleFrames:
     def test_forward(self):
         x = t(np.ones((3, 2, 2)))
         s = t([1.0, 2.0, -1.0])
-        out = T.scale_frames(x, s)
+        out = T.scale(x, s)
         np.testing.assert_array_equal(out.data[0], np.ones((2, 2)))
         np.testing.assert_array_equal(out.data[1], 2.0 * np.ones((2, 2)))
         np.testing.assert_array_equal(out.data[2], -np.ones((2, 2)))
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            T.scale_frames(t(np.zeros((3, 2))), t(np.zeros(4)))
+        # the weight's shape must be a leading prefix of x's shape
+        for x_shape, s_shape in (((3, 2), (4,)), ((3, 2), (2,)), ((3, 2), (3, 2, 1)),
+                                 ((3, 2), (1,)), ((2, 3, 4), (2, 4))):
+            with pytest.raises(ShapeError, match="leading axes"):
+                T.scale(t(np.zeros(x_shape)), t(np.zeros(s_shape)))
+
+    def test_weight_over_each_leading_rank(self):
+        # a float, a 0-d weight and weights over one or two leading axes all
+        # broadcast over the remaining axes; each weight's gradient has its shape
+        rng = np.random.default_rng(22)
+        x0 = rng.standard_normal((2, 3, 4))
+        g = rng.standard_normal((2, 3, 4))
+        for s0 in (np.asarray(1.5), rng.standard_normal(2), rng.standard_normal((2, 3))):
+            x, s = t(x0, grad=True), t(s0, grad=True)
+            expand = s0.reshape(s0.shape + (1,) * (3 - s0.ndim))
+            out = taped(lambda: T.scale(x, s), g)
+            np.testing.assert_array_equal(out.data, x0 * expand)
+            np.testing.assert_array_equal(x.grad, g * expand)
+            assert s.grad.shape == s0.shape and isinstance(s.grad, np.ndarray)
+            np.testing.assert_allclose(s.grad, (g * x0).sum(axis=tuple(range(s0.ndim, 3))),
+                                       rtol=1e-13)
+        np.testing.assert_array_equal(T.scale(t(x0), 1.5).data, x0 * 1.5)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(21)
@@ -387,7 +407,7 @@ class TestScaleFrames:
         proj = t(rng.standard_normal((12, 1)))
 
         def make_loss():
-            out = T.scale_frames(x, s)
+            out = T.scale(x, s)
             return T.reshape(T.matmul(T.reshape(out, (1, 12)), proj), ())
 
         assert gradient_error(make_loss, [x, s]) < 1e-6
@@ -447,6 +467,17 @@ class TestTape:
             tape.backward(T.reshape(T.matmul(T.reshape(y, (1, 2)), w), ()))
         np.testing.assert_array_equal(a.grad, [2.0, 20.0])
         np.testing.assert_array_equal(b.grad, [1.0, 10.0])
+
+    def test_record_without_cotangent_is_skipped(self):
+        # a recorded output that the loss never uses gets no cotangent: its
+        # backward never runs, and its input gets no gradient
+        a = t([1.0, 2.0], grad=True)
+        b = t([3.0, 4.0], grad=True)
+        with T.Tape() as tape:
+            T.apply_primitive(a.data * 2.0, (a,), lambda g: pytest.fail("skipped record ran"))
+            tape.backward(T.reshape(T.matmul(T.reshape(b, (1, 2)), t([[1.0], [1.0]])), ()))
+        assert a.grad is None
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
     def test_misshaped_gradient_raises(self):
         x = t([1.0, 2.0, 3.0], grad=True)

@@ -12,6 +12,7 @@ from actf import cli
 from actf import model as M
 from actf import train as TR
 from actf import data as D
+from actf.errors import ConfigError
 from actf.tensor import Tensor
 
 
@@ -35,6 +36,22 @@ class TestSchedule:
                              decay_epochs=(1, 3))
         lrs = [TR.lr_at(e, cfg) for e in range(4)]
         np.testing.assert_allclose(lrs, [1.0, 0.5, 0.5, 0.25])
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("lr0", float("nan")),
+        ("momentum", -1.0), ("momentum", 1.0), ("momentum", 1.5), ("momentum", float("nan")),
+        ("weight_decay", -0.5), ("weight_decay", float("nan")),
+        ("decay_epochs", (-1,)), ("decay_epochs", (3, -2)),
+    ])
+    def test_refuses_bad_optimizer_setting(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TR.TrainConfig(**{field: value})
+
+    def test_accepts_range_edges(self):
+        cfg = TR.TrainConfig(momentum=0.0, weight_decay=0.0, decay_epochs=(0,))
+        assert TR.lr_at(0, cfg) == pytest.approx(cfg.lr0 * cfg.decay_factor)
 
 
 class TestOptimizer:
