@@ -197,6 +197,10 @@ def run_audit(seed: int = 0) -> list:
     a1, c1 = _param(rng, (3, 4)), _param(rng, (4, 1))
     w = rng.standard_normal(3)
     check("matmul", lambda: _scalarize(T.matmul(a1, c1), w), [a1, c1])
+    # A 5x5 kernel on a 2-row image: the taps two rows off miss it entirely.
+    xk, wk, bk = grid((2, 3, 2, 4)), grid((4, 3, 5, 5)), grid((4,), 0.5)
+    w = rng.standard_normal(2 * 4 * 1 * 2)
+    check("conv_relu_pool", lambda: _scalarize(T.conv_relu_pool(xk, wk, bk), w), [xk, wk, bk])
 
     results.append(model_audit(seed))
     return results

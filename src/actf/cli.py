@@ -153,6 +153,11 @@ def cmd_train(args) -> int:
                 else "loss")
         raise RuntimeError(f"training diverged: non-finite {what} at epoch {epoch}, "
                            f"batch {batch}; no checkpoint written")
+    # The checkpoint's payloads are 32-bit: a finite 64-bit weight can overflow there.
+    bad = [n for n, t in M.named_tensors(params) if not np.isfinite(t.data.astype(np.float32)).all()]
+    if bad:
+        raise RuntimeError(f"training diverged: {bad[0]} is not finite in 32 bits; "
+                           "no checkpoint written")
     ckpt = os.path.join(args.out, "checkpoint.ckpt")
     M.save_checkpoint(ckpt, params)
     final_train = _last_epoch(report, "train_acc")

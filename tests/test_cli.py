@@ -70,6 +70,24 @@ def test_train_divergence_exits_one(tmp_path, tiny_cfg, capsys):
     assert not (out / "metrics.tsv").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_train_weights_that_overflow_32_bits_exit_one(tmp_path, capsys):
+    # one minibatch at this learning rate leaves the loss, every gradient and
+    # every 64-bit weight finite, but the weights overflow the checkpoint's
+    # 32-bit payload; the first such tensor in named_tensors order is named
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY, "train_per_class": 1, "lr0": 1e308}))
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert ("training diverged: backbone.w1 is not finite in 32 bits; no checkpoint written"
+            in capsys.readouterr().err)
+    rows = (out / "train_report.tsv").read_text().splitlines()[3:]
+    assert len(rows) == 1 and np.isfinite(float(rows[0].split("\t")[2]))
+    assert not (out / "checkpoint.ckpt").exists()
+    assert not (out / "metrics.tsv").exists()
+
+
 def test_train_eval_acc_is_the_checkpoints(tmp_path, tiny_cfg):
     # metrics.tsv scores the weights as stored (f32): `eval` on the
     # checkpoint reproduces its eval_acc exactly

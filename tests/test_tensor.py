@@ -248,6 +248,15 @@ class TestAvgPool:
             with pytest.raises(ShapeError):
                 self.pool(t(np.zeros(shape)))
 
+    def test_backward_spreads_a_quarter_to_each_cell(self):
+        # positive inputs keep every ReLU on, so the input gradient is the
+        # upsampled cotangent itself, bit for bit; W = 10 pools to an odd width
+        rng = np.random.default_rng(10)
+        x = t(rng.uniform(0.5, 1.5, (2, 3, 4, 10)), grad=True)
+        g = rng.standard_normal((2, 3, 2, 5))
+        taped(lambda: self.pool(x), g)
+        np.testing.assert_array_equal(x.grad, np.repeat(np.repeat(g / 4, 2, 2), 2, 3))
+
     def test_gradcheck(self):
         rng = np.random.default_rng(9)
         x = t(rng.standard_normal((3, 2, 4, 4)), grad=True)
@@ -295,13 +304,18 @@ def conv_relu_pool_oracle(x, w, b, g):
 class TestConv2d:
     """The convolution of conv_relu_pool, checked through its ReLU and pool."""
 
-    @pytest.mark.parametrize("k", [1, 3, 5])
-    def test_matches_loop_oracle(self, k):
+    # The last two kernels are wider than their 2-row image: the taps two or
+    # more rows off miss it entirely, and every other off-centre tap is clipped.
+    @pytest.mark.parametrize("k, shape", [(1, (2, 3, 6, 8)), (3, (2, 3, 6, 8)),
+                                          (5, (2, 3, 6, 8)), (5, (2, 3, 2, 4)),
+                                          (7, (2, 3, 2, 4))],
+                             ids=["1", "3", "5", "5-wider-than-image", "7-wider-than-image"])
+    def test_matches_loop_oracle(self, k, shape):
         rng = np.random.default_rng(k)
-        x = t(rng.standard_normal((2, 3, 6, 8)), grad=True)
+        x = t(rng.standard_normal(shape), grad=True)
         w = t(rng.standard_normal((4, 3, k, k)), grad=True)
         b = t(rng.standard_normal(4), grad=True)
-        g = rng.standard_normal((2, 4, 3, 4))
+        g = rng.standard_normal((2, 4, shape[2] // 2, shape[3] // 2))
         out = taped(lambda: T.conv_relu_pool(x, w, b), g)
         expected = conv_relu_pool_oracle(x.data, w.data, b.data, g)
         for got, want in zip((out.data, x.grad, w.grad, b.grad), expected):
