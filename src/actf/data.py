@@ -11,6 +11,7 @@ reproducible from (seed, class group, sample index) on any platform.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -202,7 +203,7 @@ def tensor_from_bytes(raw: bytes, offset: int = 0):
     if any(d < 1 for d in dims):
         raise FormatError(f"at byte {offset}: zero extent in dims {dims}")
     offset += 4 * rank
-    n = int(np.prod(dims))
+    n = math.prod(dims)                 # a Python int: no int64 wrap
     if len(raw) < offset + 4 * n:
         raise FormatError(
             f"at byte {offset}: truncated payload, need {4 * n} bytes, have {len(raw) - offset}"
@@ -257,7 +258,10 @@ def load_dataset(manifest_path):
                 raise FormatError(
                     f"manifest line {line_no}: expected 'path<TAB>integer label', got {line!r}"
                 )
-            samples.append((read_tensor(os.path.join(base, path)), label))
+            video = read_tensor(os.path.join(base, path))
+            if not np.isfinite(video.data).all():
+                raise FormatError(f"manifest line {line_no}: {path} holds non-finite values")
+            samples.append((video, label))
     if not samples:
         raise FormatError(f"manifest {manifest_path}: no records")
     return samples

@@ -338,6 +338,8 @@ def load_checkpoint(path) -> ModelParams:
                 f"at byte {start}: checkpoint tensor {name!r} has {t.data.size} values, "
                 f"expected {target.data.size}"
             )
+        if not np.isfinite(t.data).all():
+            raise FormatError(f"at byte {start}: checkpoint tensor {name!r} holds non-finite values")
         # By size: older files store the reduction biases as (1, M) rows.
         target.data = t.data.reshape(target.data.shape)
     if offset != len(raw):

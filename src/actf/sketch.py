@@ -9,6 +9,9 @@ The map is linear in the outer product, so a weighted mean of sketches over
 locations and frame pairs is the sketch of the same mean of second moments.
 ``bilinear_logits`` and ``weighted_bilinear`` use this to attend over a
 video's frame pairs and pool them with no pair ever sketched on its own.
+Entry (i, j) of an outer product has one bucket, (h1[i] + h2[j]) mod d, and
+one sign, s1[i] s2[j]; the plan's ``buckets`` table holds both, so these two
+apply the signs where they gather from or sum into the table.
 """
 
 from __future__ import annotations
@@ -27,9 +30,10 @@ class SketchPlan:
 
     h1/h2 map input coordinates to buckets in [0, output_dim); s1/s2 are
     +-1 signs. Both pairs are drawn independently and are fully reproducible
-    from ``seed``. ``buckets`` is the flat (input_dim**2,) table of
-    (h1[i] + h2[j]) mod output_dim, the bucket of the outer-product entry
-    (i, j).
+    from ``seed``. ``buckets`` is the flat (input_dim**2,) table, with values
+    in [0, 2 * output_dim), of the signed bucket of the outer-product entry
+    (i, j): (h1[i] + h2[j]) mod output_dim, plus output_dim where
+    s1[i] * s2[j] = -1.
     """
 
     input_dim: int
@@ -51,7 +55,7 @@ def make_plan(input_dim: int, output_dim: int, seed: int) -> SketchPlan:
     h2 = rng.integers(0, output_dim, size=input_dim, dtype=np.int32)
     s1 = (rng.integers(0, 2, size=input_dim) * 2 - 1).astype(np.float64)
     s2 = (rng.integers(0, 2, size=input_dim) * 2 - 1).astype(np.float64)
-    buckets = (h1.astype(np.intp)[:, None] + h2) % output_dim
+    buckets = (h1.astype(np.intp)[:, None] + h2) % output_dim + output_dim * (s1[:, None] != s2)
     return SketchPlan(input_dim, output_dim, int(seed), h1, h2, s1, s2, buckets.ravel())
 
 
@@ -105,12 +109,15 @@ def _pairs(f: Tensor, plan: SketchPlan, opname: str):
     return rows[:, :-n], rows[:, n:]
 
 
-def _signed(m: np.ndarray, plan: SketchPlan) -> np.ndarray:
-    """diag(s1) m diag(s2), in place, for a fresh (..., C, C) m: the signs move
-    off the operands, x~^T m y~ = x^T (s1 m s2) y with x~ = s1 x, y~ = s2 y."""
-    m *= plan.s1[:, None]
-    m *= plan.s2
-    return m
+def _signed_take(v: np.ndarray, plan: SketchPlan) -> np.ndarray:
+    """Rows v (..., d) to (..., C*C) entries s1[i] s2[j] v[(h1[i] + h2[j]) % d]."""
+    return np.take(np.concatenate((v, -v), axis=-1), plan.buckets, axis=-1)
+
+
+def _signed_sum(m: np.ndarray, plan: SketchPlan) -> np.ndarray:
+    """Rows m (..., C*C) summed into their signed buckets, the adjoint of ``_signed_take``."""
+    out = bucket_sum(m, plan.buckets, 2 * plan.output_dim)
+    return out[..., :plan.output_dim] - out[..., plan.output_dim:]
 
 
 def _per_pair(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -141,10 +148,10 @@ def bilinear_logits(f: Tensor, proj: Tensor, plan: SketchPlan) -> Tensor:
     of frames (B, t, L, C): (B, t-1).
 
     The sketch is linear in the outer product, so a logit is
-    sum_l x~_l^T Q y~_l / L over the pair's signed rows x~ = s1 x, y~ = s2 y,
-    with Q = proj[buckets] as one (C, C) matrix: one GEMM over all
+    sum_l x_l^T Q y_l / L with Q[i, j] = s1[i] s2[j] proj[(h1[i] + h2[j]) mod d],
+    one (C, C) gather of proj through the signed buckets: one GEMM over all
     B*(t-1)*L rows, and no pair is sketched. The projection's gradient is the
-    bucket sum of the cotangent-weighted second moment.
+    signed bucket sum of the cotangent-weighted second moment: one GEMM.
     """
     x, y = _pairs(f, plan, "bilinear_logits")
     if proj.data.shape != (plan.output_dim, 1):
@@ -152,17 +159,17 @@ def bilinear_logits(f: Tensor, proj: Tensor, plan: SketchPlan) -> Tensor:
             f"bilinear_logits: projection {proj.data.shape} is not ({plan.output_dim}, 1)"
         )
     b, t, n, c = f.data.shape
-    q = _signed(np.take(proj.data[:, 0], plan.buckets).reshape(c, c), plan)
+    q = _signed_take(proj.data[:, 0], plan).reshape(c, c)
     yq = y @ q.T                                    # rows (q y_l)^T
 
     def backward(g):
         xg = _per_pair(x, g / n)
-        gq = _signed(np.sum(xg.transpose(0, 2, 1) @ y, axis=0), plan)
+        gq = np.tensordot(xg, y, axes=([0, 1], [0, 1]))
         # The tape runs each backward once: yq becomes the leading frames' gradient.
         lead = yq.reshape(b, t - 1, -1)
         lead *= (g / n)[..., None]
         return (_frames_grad(yq, xg, q, f.data.shape),
-                bucket_sum(gq.ravel(), plan.buckets, plan.output_dim)[:, None])
+                _signed_sum(gq.ravel(), plan)[:, None])
 
     return apply_primitive(_pair_dots(x, yq, t - 1) / n, (f, proj), backward)
 
@@ -172,25 +179,24 @@ def weighted_bilinear(f: Tensor, w: Tensor, plan: SketchPlan) -> Tensor:
     for frames (B, t, L, C) and pair weights (B, t-1): (B, d).
 
     The sketch is linear in the outer product, so a video's output is the
-    bucket sum of one (C, C) moment sum_p w_p x~_p y~_p^T / L: one GEMM per
-    video, whose inner dimension is (t-1)*L, and no pair is sketched.
-    Backward gathers the cotangent through the buckets once per video into G,
-    then reuses G y~ for the gradients of the leading frames and the weights.
+    signed bucket sum of one (C, C) moment sum_p w_p x_p y_p^T / L: one GEMM
+    per video, whose inner dimension is (t-1)*L, and no pair is sketched.
+    Backward gathers the cotangent through the signed buckets once per video
+    into G, then reuses G y for the gradients of the leading frames and weights.
     """
     x, y = _pairs(f, plan, "weighted_bilinear")
     b, t, n, c = f.data.shape
     if w.data.shape != (b, t - 1):
         raise ShapeError(f"weighted_bilinear: weights {w.data.shape} are not ({b}, {t - 1})")
     xw = _per_pair(x, w.data / n)
-    m = _signed(xw.transpose(0, 2, 1) @ y, plan)
+    m = xw.transpose(0, 2, 1) @ y
 
     def backward(g):
-        gm = _signed(np.take(g, plan.buckets, axis=1).reshape(b, c, c), plan)
+        gm = _signed_take(g, plan).reshape(b, c, c)
         gy = y @ gm.transpose(0, 2, 1)              # rows (G y_l)^T
         gw = _pair_dots(x, gy, t - 1) / n
         lead = gy.reshape(b, t - 1, -1)
         lead *= (w.data / n)[..., None]
         return _frames_grad(gy, xw, gm, f.data.shape), gw
 
-    return apply_primitive(bucket_sum(m.reshape(b, c * c), plan.buckets, plan.output_dim),
-                           (f, w), backward)
+    return apply_primitive(_signed_sum(m.reshape(b, c * c), plan), (f, w), backward)

@@ -11,6 +11,7 @@ from actf import check as C
 from actf import cli
 from actf import data as D
 from actf import model as M
+from actf.tensor import Tensor
 
 
 TINY = {
@@ -241,6 +242,43 @@ def test_eval_refuses_tensor_of_wrong_size(tmp_path, tiny_cfg, capsys):
                    "--out", str(tmp_path / "ev")])
     assert rc == 2
     assert f"at byte {start}: checkpoint tensor 'clf.b' has 5 values" in capsys.readouterr().err
+
+
+def test_eval_refuses_non_finite_checkpoint_tensor(tmp_path, tiny_cfg, capsys):
+    from actf.data import tensor_to_bytes
+
+    params = M.init_params(M.ModelDims(frames=4, height=16, width=16, conv1_channels=3,
+                                       out_channels=8, sketch_dim=32, n_classes=4), 0)
+    params.clf_b.data[1] = np.nan
+    ckpt = tmp_path / "nan.ckpt"
+    M.save_checkpoint(ckpt, params)
+    start = ckpt.stat().st_size - len(tensor_to_bytes(params.clf_b))
+    rc = cli.main(["eval", "--checkpoint", str(ckpt), "--config", tiny_cfg,
+                   "--out", str(tmp_path / "ev")])
+    assert rc == 2
+    assert f"at byte {start}: checkpoint tensor 'clf.b' holds non-finite values" \
+        in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "ev")
+
+
+@pytest.mark.parametrize("raw, message", [
+    (D.tensor_to_bytes(Tensor(np.full((4, 3, 16, 16), np.nan))),
+     "manifest line 1: sample_00000.actf holds non-finite values"),
+    (b"ACTF" + np.array([1, 4], "<u2").tobytes() + np.full(4, 65536, "<u4").tobytes(),
+     f"at byte 24: truncated payload, need {4 * 65536 ** 4} bytes, have 0"),
+], ids=["nan-sample", "dims-product-2**64"])
+def test_eval_refuses_bad_manifest_sample(tmp_path, tiny_cfg, capsys, raw, message):
+    out = str(tmp_path / "out")
+    assert cli.main(["train", "--config", tiny_cfg, "--out", out, "--epochs", "0"]) == 0
+    ds = D.generate(D.SyntheticTask(kind="direction4", frames=4, height=16,
+                                    width=16, per_class=1, seed=9))
+    manifest = D.save_dataset(tmp_path / "data", ds)
+    (tmp_path / "data" / "sample_00000.actf").write_bytes(raw)
+    rc = cli.main(["eval", "--checkpoint", os.path.join(out, "checkpoint.ckpt"),
+                   "--manifest", manifest, "--out", str(tmp_path / "ev")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "ev")
 
 
 def test_eval_manifest_round_trip(tmp_path, tiny_cfg):

@@ -139,7 +139,12 @@ class TestTensorFormat:
         (struct.pack("<HH", 1, 0), r"at byte 9: empty dims \(rank 0\)"),
         (struct.pack("<HHI", 1, 3, 2), r"at byte 11: truncated dim list \(rank 3\)"),
         (struct.pack("<HHII", 1, 2, 3, 0), r"at byte 11: zero extent in dims \(3, 0\)"),
-    ], ids=["rank-0", "truncated-dims", "zero-extent"])
+        # the element count must not wrap in 64 bits: 65536**4 would wrap to 0
+        (struct.pack("<HH4I", 1, 4, *[65536] * 4),
+         f"at byte 27: truncated payload, need {4 * 65536 ** 4} bytes, have 0"),
+        (struct.pack("<HH3I", 1, 3, *[4294967295] * 3),
+         f"at byte 23: truncated payload, need {4 * 4294967295 ** 3} bytes, have 0"),
+    ], ids=["rank-0", "truncated-dims", "zero-extent", "product-2**64", "product-near-2**96"])
     def test_bad_dims_name_their_byte(self, header, message):
         # three bytes before the tensor: each offset counts from the buffer's start
         with pytest.raises(FormatError, match=message):
@@ -196,4 +201,13 @@ class TestDatasetFiles:
         manifest = tmp_path / "manifest.tsv"
         manifest.write_text("\n")
         with pytest.raises(FormatError, match="no records"):
+            D.load_dataset(manifest)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_sample_rejected(self, tmp_path, value):
+        ds = D.generate(D.SyntheticTask(kind="speed2", per_class=1, seed=10))
+        ds[1][0].data[0, 0, 0, 0] = value
+        manifest = D.save_dataset(tmp_path, ds)
+        with pytest.raises(FormatError,
+                           match="manifest line 2: sample_00001.actf holds non-finite values"):
             D.load_dataset(manifest)

@@ -32,6 +32,15 @@ class TestPlan:
         np.testing.assert_array_equal(a.s1, b.s1)
         np.testing.assert_array_equal(a.s2, b.s2)
 
+    def test_draws_are_pinned(self):
+        # checkpoints store only the plan's seed: a change in the order or the
+        # kind of make_plan's draws would give every saved model a new sketch
+        plan = S.make_plan(8, 16, seed=0)
+        np.testing.assert_array_equal(plan.h1, [13, 10, 8, 4, 4, 0, 1, 0])
+        np.testing.assert_array_equal(plan.h2, [2, 13, 10, 14, 8, 9, 15, 11])
+        np.testing.assert_array_equal(plan.s1, [1, 1, 1, 1, -1, 1, 1, -1])
+        np.testing.assert_array_equal(plan.s2, [-1, 1, 1, -1, 1, 1, 1, -1])
+
     def test_degenerate(self):
         plan = S.make_plan(1, 1, seed=0)
         assert plan.h1[0] == 0 and plan.h2[0] == 0
@@ -75,12 +84,15 @@ class TestCountSketch:
         np.testing.assert_allclose(S.bucket_sum(v, h, 5), expect, rtol=0, atol=1e-14)
 
     def test_plan_buckets(self):
-        # the flat table of the bucket of every outer-product entry (i, j)
+        # the flat table of the signed bucket of every outer-product entry
+        # (i, j): its bucket, plus d where the entry's sign s1[i] s2[j] is -1
         plan = S.make_plan(6, 11, seed=4)
         assert plan.buckets.shape == (36,)
         for i in range(6):
             for j in range(6):
-                assert plan.buckets[i * 6 + j] == (plan.h1[i] + plan.h2[j]) % 11
+                negative = plan.s1[i] * plan.s2[j] < 0
+                assert plan.buckets[i * 6 + j] == (plan.h1[i] + plan.h2[j]) % 11 + 11 * negative
+        assert (plan.buckets < 11).any() and (plan.buckets >= 11).any()
 
 
 class TestCompactBilinear:
