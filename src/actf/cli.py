@@ -44,7 +44,8 @@ def _merge_config(args, defaults: dict) -> dict:
     """defaults < config file < explicit flags.
 
     A file value must have its default's type, and each element of a list
-    value the type of the default's elements.
+    value the type of the default's elements. Every float value of the result
+    must be finite: json reads NaN and Infinity, and argparse's float nan and inf.
     """
     cfg = dict(defaults)
     if args.config:
@@ -70,6 +71,9 @@ def _merge_config(args, defaults: dict) -> dict:
         v = getattr(args, key, None)
         if v is not None:
             cfg[key] = v
+    for key, v in cfg.items():
+        if type(v) is float and not np.isfinite(v):
+            raise ConfigError(f"config key {key!r}: must be finite, got {v!r}")
     return cfg
 
 

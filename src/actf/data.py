@@ -42,7 +42,7 @@ class SyntheticTask:
             raise ConfigError("SyntheticTask: need at least 2 frames")
         if self.per_class < 1:
             raise ConfigError("SyntheticTask: per_class must be >= 1")
-        if self.noise < 0:
+        if not self.noise >= 0:
             raise ConfigError("SyntheticTask: noise must be >= 0")
 
     @property

@@ -10,7 +10,8 @@ Broadcasting is deliberately limited to weights over leading axes (``scale``)
 and per-row biases (``linear``); other mismatched shapes raise ShapeError.
 
 A backbone layer is one fused primitive, ``conv_relu_pool``: one GEMM on an im2col
-matrix with a ones row adds its bias and pool quarter; another upsamples the cotangent.
+matrix with a ones row adds its bias and pool quarter. One 0/1 pooling matrix serves
+both ways: a GEMM with it pools, and one with its transpose upsamples the cotangent.
 The backward products of ``linear`` and ``matmul`` use ``np.dot``: at one row
 they are outer products, which ``@`` computes in its own loop and ``np.dot``
 through BLAS.
@@ -303,9 +304,10 @@ def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     (N, C_out, H/2, W/2). A NaN pre-activation stays NaN, with gradient 0.
 
     im2col copies x unpadded, tap by tap, into rows (c, i, j) plus a row of ones;
-    one GEMM with [w | b] / 4 then gives relu(y)/4 = relu(y/4), so the pool is two
-    pair adds. A GEMM with a (W/2, 2W) matrix of quarters upsamples the cotangent,
-    spreading a non-finite entry as NaN along its rows (0·inf); col2im is unpadded.
+    one GEMM with [w | b] / 4 then gives relu(y)/4 = relu(y/4). A GEMM with a
+    (2W, W/2) 0/1 matrix pools it, and one with its transpose / 4 upsamples the
+    cotangent. BLAS spreads a NaN or inf along its whole row (0·inf), so a layer
+    whose pooled sum is not finite pools again by exact pair adds; col2im is unpadded.
     """
     if x.data.ndim != 4 or w.data.ndim != 4 or b.data.ndim != 1:
         raise ShapeError(
@@ -331,17 +333,22 @@ def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     y = np.hstack((wk, b.data[:, None])) / 4 @ cols
     mask = y > 0 if _recording((x, w, b)) else None
     np.maximum(y, 0.0, out=y)
-    # Sum row pairs (contiguous), then column pairs into the (N, C_out) output.
-    y = y.reshape(Cout, N, H // 2, 2, W)
-    y = (y[:, :, :, 0] + y[:, :, :, 1]).reshape(Cout, N, H // 2, W // 2, 2)
+    # Each row of y.reshape(-1, 2W) is image rows 2r, 2r + 1 of one (c, n): the
+    # pool sums it into W/2 cells, and the backward spreads W/2 cells over it.
+    pool = np.tile(np.kron(np.eye(W // 2), [[1.0], [1.0]]), (2, 1))
+    with np.errstate(invalid="ignore"):  # 0·inf, redone exactly below
+        pooled = y.reshape(-1, 2 * W) @ pool
+    if not np.isfinite(pooled.sum()):
+        # Sum row pairs, then column pairs: a NaN or inf stays in its 2x2 block.
+        y = y.reshape(Cout, N, H // 2, 2, W)
+        y = (y[:, :, :, 0] + y[:, :, :, 1]).reshape(Cout, N, H // 2, W // 2, 2)
+        pooled = y[..., 0] + y[..., 1]
     out = np.empty((N, Cout, H // 2, W // 2))
-    np.add(y[..., 0], y[..., 1], out=out.transpose(1, 0, 2, 3))
+    out.transpose(1, 0, 2, 3)[...] = pooled.reshape(Cout, N, H // 2, W // 2)
     need_gx = x.requires_grad
 
     def backward(g):
-        # Pooled row (c, n, r) spreads a quarter to each cell of image rows 2r, 2r + 1.
-        spread = np.tile(np.kron(np.eye(W // 2), [[0.25, 0.25]]), 2)
-        gy = (g.transpose(1, 0, 2, 3).reshape(-1, W // 2) @ spread).reshape(Cout, -1)
+        gy = (g.transpose(1, 0, 2, 3).reshape(-1, W // 2) @ (pool.T / 4)).reshape(Cout, -1)
         gy *= mask
         gwb = (cols @ gy.T).T  # OpenBLAS: about twice as fast as gy @ cols.T for 8 rows
         gw, gb = gwb[:, :-1].reshape(w.data.shape), gwb[:, -1]

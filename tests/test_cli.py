@@ -420,7 +420,6 @@ def test_config_value_of_wrong_type(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("key, value", [
     ("momentum", -1.0), ("momentum", 1.5), ("weight_decay", -0.5), ("decay_epochs", [-1]),
-    ("lr0", float("nan")),
 ])
 def test_bad_optimizer_setting_usage_error(tmp_path, capsys, key, value):
     bad = tmp_path / "bad.json"
@@ -428,6 +427,26 @@ def test_bad_optimizer_setting_usage_error(tmp_path, capsys, key, value):
     out = tmp_path / "out"
     assert cli.main(["train", "--config", str(bad), "--out", str(out)]) == 2
     assert f"TrainConfig: {key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize("key", ["noise", "lr0", "weight_decay"])
+def test_non_finite_config_value_usage_error(tmp_path, capsys, key, value):
+    # json.dumps writes the literals NaN and Infinity, which json.load reads back.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(TINY, **{key: value})))
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(bad), "--out", str(out)]) == 2
+    assert f"config key {key!r}: must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--noise", "--lr0"])
+def test_non_finite_flag_usage_error(tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    assert cli.main(["ablate", flag, "inf", "--out", str(out)]) == 2
+    assert f"config key {flag[2:]!r}: must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 

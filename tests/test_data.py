@@ -77,6 +77,11 @@ class TestTasks:
         with pytest.raises(ConfigError):
             D.SyntheticTask(kind="jumping3")
 
+    @pytest.mark.parametrize("noise", [-0.1, float("nan")])
+    def test_bad_noise_rejected(self, noise):
+        with pytest.raises(ConfigError, match="noise must be >= 0"):
+            D.SyntheticTask(kind="direction4", noise=noise)
+
     def test_blob_must_fit(self):
         with pytest.raises(ConfigError):
             D.generate(D.SyntheticTask(kind="direction4", height=8,

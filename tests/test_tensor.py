@@ -358,6 +358,21 @@ class TestConv2d:
         expected[0, :, 0:2, 2:4] = True
         np.testing.assert_array_equal(nan, expected)
 
+    def test_inf_pixel_matches_oracle(self):
+        # The pixel makes its conv outputs ±inf: +inf survives the ReLU and
+        # makes its pooled cell inf; every other cell stays finite and exact.
+        rng = np.random.default_rng(6)
+        xd = rng.standard_normal((2, 3, 8, 8))
+        xd[0, 1, 2, 5] = np.inf
+        wd, bd = rng.standard_normal((4, 3, 3, 3)), rng.standard_normal(4)
+        with np.errstate(invalid="raise"):
+            out = T.conv_relu_pool(t(xd), t(wd), t(bd))
+        with np.errstate(invalid="ignore"):  # the oracle's gradients meet 0·inf
+            want = conv_relu_pool_oracle(xd, wd, bd, np.zeros(out.data.shape))[0]
+        assert np.isinf(want).any()
+        # Also requires inf exactly where the oracle has it.
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-10)
+
 
 class TestFrameSlice:
     def test_forward(self):
