@@ -232,8 +232,8 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"dataset labels {outside} are not classes of the checkpoint, [0, {d.n_classes})"
         )
-    videos, labels = TR.stack_dataset(dataset)
-    preds = np.argmax(TR.predict(params, videos), axis=1)
+    labels = np.array([label for _, label in dataset])
+    preds = np.argmax(TR.predict(params, dataset), axis=1)
     per_class_n = np.bincount(labels, minlength=d.n_classes)
     per_class_correct = np.bincount(labels[preds == labels], minlength=d.n_classes)
     wa, wb = effective_weights(params.final_fusion)

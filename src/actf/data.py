@@ -11,6 +11,7 @@ reproducible from (seed, class group, sample index) on any platform.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -23,6 +24,9 @@ from ._io import atomic_write_bytes, atomic_write_text
 
 _BLOB = 7          # blob side length in pixels
 _SLOW, _FAST = 1, 3
+# Largest noise standard deviation: ten times the blobs' peak intensity of 1.
+# Far beyond it, samples and the backbone's activations overflow.
+MAX_NOISE = 10.0
 
 
 @dataclass(frozen=True)
@@ -42,8 +46,9 @@ class SyntheticTask:
             raise ConfigError("SyntheticTask: need at least 2 frames")
         if self.per_class < 1:
             raise ConfigError("SyntheticTask: per_class must be >= 1")
-        if not self.noise >= 0:
-            raise ConfigError("SyntheticTask: noise must be >= 0")
+        if not 0 <= self.noise <= MAX_NOISE:
+            raise ConfigError(
+                f"SyntheticTask: noise must be >= 0 and <= {MAX_NOISE:g}, got {self.noise!r}")
 
     @property
     def n_classes(self) -> int:
@@ -243,25 +248,40 @@ def save_dataset(directory, samples) -> str:
 
 
 def load_dataset(manifest_path):
-    """Read a manifest and its tensors back as (video Tensor, label) pairs."""
+    """Read a manifest and its tensors back as (video Tensor, label) pairs.
+
+    A manifest that is not UTF-8 text, or that names a sample file which
+    cannot be opened, is malformed (FormatError).
+    """
     base = os.path.dirname(os.path.abspath(manifest_path))
+    with open(manifest_path, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"manifest {manifest_path}: at byte {e.start}: not UTF-8 text") from e
     samples = []
-    with open(manifest_path) as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                path, label = line.split("\t")
-                label = int(label)
-            except ValueError:
-                raise FormatError(
-                    f"manifest line {line_no}: expected 'path<TAB>integer label', got {line!r}"
-                )
+    # newline=None reads '\r\n' and '\r' as line ends, as a text-mode file does.
+    for line_no, line in enumerate(io.StringIO(text, newline=None), 1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        try:
+            path, label = line.split("\t")
+            label = int(label)
+        except ValueError:
+            raise FormatError(
+                f"manifest line {line_no}: expected 'path<TAB>integer label', got {line!r}"
+            )
+        try:
             video = read_tensor(os.path.join(base, path))
-            if not np.isfinite(video.data).all():
-                raise FormatError(f"manifest line {line_no}: {path} holds non-finite values")
-            samples.append((video, label))
+        except FormatError:
+            raise
+        except (OSError, ValueError) as e:   # missing, unreadable, a directory, a NUL byte
+            raise FormatError(f"manifest line {line_no}: cannot open {path!r}: {e}") from e
+        if not np.isfinite(video.data).all():
+            raise FormatError(f"manifest line {line_no}: {path} holds non-finite values")
+        samples.append((video, label))
     if not samples:
         raise FormatError(f"manifest {manifest_path}: no records")
     return samples

@@ -128,6 +128,7 @@ def apply_primitive(data, inputs, backward) -> Tensor:
     aligned with ``inputs`` and shaped like it. It must never write into
     ``out_grad``: a cotangent may be shared with other tensors (``add`` hands
     the same array to both inputs), and becomes an input's ``.grad`` as is.
+    The tape calls ``backward`` at most once, so it may drop state as it goes.
     Exposed so other modules (e.g. the sketch map) can define primitives with
     custom backward rules.
     """
@@ -348,9 +349,14 @@ def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     need_gx = x.requires_grad
 
     def backward(g):
+        # The tape runs each backward once: the mask and im2col are freed as soon
+        # as they are used, so col2im's buffer does not sit on top of them.
+        nonlocal cols, mask
         gy = (g.transpose(1, 0, 2, 3).reshape(-1, W // 2) @ (pool.T / 4)).reshape(Cout, -1)
         gy *= mask
+        mask = None
         gwb = (cols @ gy.T).T  # OpenBLAS: about twice as fast as gy @ cols.T for 8 rows
+        cols = None
         gw, gb = gwb[:, :-1].reshape(w.data.shape), gwb[:, -1]
         if not need_gx:
             return None, gw, gb

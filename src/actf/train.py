@@ -5,6 +5,10 @@ Update rule per parameter:
     theta <- theta - lr * v
 Batch gradients are means over the batch, so learning-rate semantics are
 stable under batch-size changes.
+
+Datasets are lists of (video Tensor, label) pairs. ``fit`` and ``predict``
+stack one minibatch or chunk of videos at a time, never the whole list, so
+a step holds one batch of videos on top of the dataset itself.
 """
 
 from __future__ import annotations
@@ -97,34 +101,32 @@ class TrainReport:
 EVAL_CHUNK = 16
 
 
-def stack_dataset(dataset):
-    """A list of (video, label) pairs as arrays: videos (n, t, C, H, W) and labels (n,)."""
-    return np.stack([video.data for video, _ in dataset]), np.array([label for _, label in dataset])
-
-
-def predict(params: M.ModelParams, videos: np.ndarray) -> np.ndarray:
-    """Logits (n, classes) of videos (n, t, C, H, W), in chunks of EVAL_CHUNK (no tape)."""
-    return np.concatenate([M.forward(Tensor(videos[i:i + EVAL_CHUNK]), params).data
-                           for i in range(0, len(videos), EVAL_CHUNK)])
+def predict(params: M.ModelParams, dataset) -> np.ndarray:
+    """Logits (n, classes) of a list of (video, label) pairs: EVAL_CHUNK videos
+    are stacked and run at a time, with no tape."""
+    chunks = (dataset[i:i + EVAL_CHUNK] for i in range(0, len(dataset), EVAL_CHUNK))
+    return np.concatenate([M.forward(Tensor(np.stack([video.data for video, _ in chunk])),
+                                     params).data for chunk in chunks])
 
 
 def evaluate(params: M.ModelParams, dataset) -> float:
     """Top-1 accuracy over a dataset (no tape, no gradients)."""
     if not dataset:
         raise ConfigError("evaluate: empty dataset")
-    videos, labels = stack_dataset(dataset)
-    return float(np.mean(np.argmax(predict(params, videos), axis=1) == labels))
+    labels = np.array([label for _, label in dataset])
+    return float(np.mean(np.argmax(predict(params, dataset), axis=1) == labels))
 
 
 def fit(params: M.ModelParams, dataset, cfg: TrainConfig, eval_set=None) -> TrainReport:
     """Train in place; deterministic given config and seed (fixed shuffle order).
 
-    Each minibatch is one batched forward and one backward of its mean loss.
-    The first non-finite loss or gradient is recorded in the report, not raised.
+    Each minibatch is stacked from the dataset, then run as one batched
+    forward and one backward of its mean loss. The first non-finite loss or
+    gradient is recorded in the report, not raised.
     """
     if not dataset:
         raise ConfigError("fit: empty dataset")
-    videos, labels = stack_dataset(dataset)
+    labels = np.array([label for _, label in dataset])
     rng = np.random.default_rng(cfg.seed)
     optimizer = SgdOptimizer(M.trainable_parameters(params), cfg)
     report = TrainReport()
@@ -137,7 +139,7 @@ def fit(params: M.ModelParams, dataset, cfg: TrainConfig, eval_set=None) -> Trai
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             with Tape() as tape:
-                logits = M.forward(Tensor(videos[batch]), params)
+                logits = M.forward(Tensor(np.stack([dataset[i][0].data for i in batch])), params)
                 batch_loss = cross_entropy(logits, labels[batch])
                 tape.backward(batch_loss)
             correct += int(np.sum(np.argmax(logits.data, axis=1) == labels[batch]))

@@ -3,9 +3,11 @@
 import json
 import os
 import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from actf import check as C
 from actf import cli
@@ -460,6 +462,69 @@ def test_default_frame_too_small_names_the_fix(tmp_path, capsys, task):
     assert "set 'height' and 'width' through --config" in err
     assert not out.exists()
     D.generate(D.SyntheticTask(kind=task, height=28, width=28, per_class=1))
+
+
+@pytest.mark.parametrize("noise, flags", [(1e308, []), (0.0, ["--noise", "1e200"])],
+                         ids=["file-1e308", "flag-1e200"])
+def test_huge_noise_usage_error(tmp_path, capsys, noise, flags):
+    # a finite noise far above the blobs' intensity overflows in training
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(TINY, noise=noise)))
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(cfg), *flags, "--out", str(out)]) == 2
+    assert "noise must be >= 0 and <= 10" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# The values a key of _EXPERIMENT_DEFAULTS may take, for the draws below.
+USABLE = {
+    "task": lambda v: v in D.TASK_KINDS, "variant": lambda v: v in M.VARIANTS,
+    "frames": lambda v: v >= 2, "height": lambda v: v >= 4, "width": lambda v: v >= 4,
+    "train_per_class": lambda v: v >= 1, "eval_per_class": lambda v: v >= 1,
+    "noise": lambda v: 0 <= v <= 10, "conv1_channels": lambda v: v >= 1,
+    "out_channels": lambda v: v >= 1, "sketch_dim": lambda v: v >= 1,
+    "lr0": lambda v: 0 < v < np.inf, "momentum": lambda v: 0 <= v < 1,
+    "weight_decay": lambda v: 0 <= v < np.inf, "decay_factor": lambda v: 0 <= v < 1,
+    "decay_epochs": lambda v: v >= 0, "epochs": lambda v: v >= 0,
+    "batch_size": lambda v: v >= 1, "seed": lambda v: v >= 0,
+}
+WRONG_TYPE = object()
+
+
+def usable(key, v) -> bool:
+    """v has the type of key's default (an int may stand for a float) and is in range."""
+    default = cli._EXPERIMENT_DEFAULTS[key]
+    if isinstance(default, list):
+        return isinstance(v, list) and all(
+            cli._is_a(type(default[0]), x) and USABLE[key](x) for x in v)
+    return cli._is_a(type(default), v) and USABLE[key](v)
+
+
+# lr0 or weight_decay 1e308 is usable, and diverges: exit 1.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@given(key=st.sampled_from(sorted(cli._EXPERIMENT_DEFAULTS)),
+       draw=st.sampled_from([float("nan"), float("inf"), -float("inf"), 0, -1, 1e308,
+                             WRONG_TYPE]))
+@settings(max_examples=200, deadline=None)
+def test_any_one_bad_config_value(key, draw):
+    # One key at a time, on frames small enough that a run takes milliseconds:
+    # train never raises, and exits 2 exactly when the value is unusable.
+    default = cli._EXPERIMENT_DEFAULTS[key]
+    if draw is WRONG_TYPE:
+        value = 1 if isinstance(default, str) else "1"
+    else:
+        value = [draw] if isinstance(default, list) else draw
+    cfg = dict(TINY, frames=2, height=12, width=12, train_per_class=1, eval_per_class=1,
+               conv1_channels=1, out_channels=2, sketch_dim=4)
+    cfg[key] = value
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "cfg.json")
+        with open(path, "w") as f:
+            json.dump(cfg, f)
+        rc = cli.main(["train", "--config", path, "--out", os.path.join(d, "out")])
+    assert rc in (0, 1, 2)
+    assert (rc == 2) == (not usable(key, value)), (key, value, rc)
 
 
 def test_config_must_be_object(tmp_path):

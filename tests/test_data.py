@@ -77,7 +77,7 @@ class TestTasks:
         with pytest.raises(ConfigError):
             D.SyntheticTask(kind="jumping3")
 
-    @pytest.mark.parametrize("noise", [-0.1, float("nan")])
+    @pytest.mark.parametrize("noise", [-0.1, float("nan"), 10.5])
     def test_bad_noise_rejected(self, noise):
         with pytest.raises(ConfigError, match="noise must be >= 0"):
             D.SyntheticTask(kind="direction4", noise=noise)

@@ -4,6 +4,7 @@ import ctypes
 import dataclasses
 import json
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,45 @@ from actf.tensor import Tensor
 def tiny_dims():
     return M.ModelDims(frames=4, height=16, width=16, conv1_channels=3,
                        out_channels=8, sketch_dim=32, n_classes=4)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes of the allocations made while fn runs; tracemalloc also
+    counts numpy's array buffers."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStepMemory:
+    """A step stacks one minibatch or chunk, never the whole dataset, so its
+    peak does not grow with the dataset: ten times the samples add less than
+    one minibatch of videos. Stacking the dataset would add 15-16 MiB here."""
+
+    DIMS = M.ModelDims(frames=8, height=24, width=24, conv1_channels=8,
+                       out_channels=64, sketch_dim=256, n_classes=4)
+    BATCH_BYTES = 16 * 8 * 3 * 24 * 24 * 8   # 16 float64 videos: 1.69 MiB
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return D.generate(D.SyntheticTask(kind="direction4", per_class=40, height=24,
+                                          width=24, noise=0.02, seed=1))
+
+    def test_fit_peak_independent_of_dataset_size(self, dataset):
+        cfg = TR.TrainConfig(epochs=1, batch_size=16, seed=0)
+        peaks = []
+        for n in (16, 160):
+            p = M.init_params(self.DIMS, 0, "full")
+            peaks.append(traced_peak(lambda: TR.fit(p, dataset[:n], cfg)))
+        assert peaks[1] - peaks[0] < self.BATCH_BYTES, peaks
+
+    def test_evaluate_peak_independent_of_dataset_size(self, dataset):
+        p = M.init_params(self.DIMS, 0, "full")
+        small, large = (traced_peak(lambda: TR.evaluate(p, dataset[:n])) for n in (16, 160))
+        assert large - small < self.BATCH_BYTES, (small, large)
 
 
 class TestSchedule:
@@ -166,7 +206,7 @@ class TestFit:
         assert sizes == [4, 4, 2]
         sizes.clear()
         videos = np.stack([v.data for v, _ in ds])
-        logits = TR.predict(p, videos)
+        logits = TR.predict(p, ds)
         assert sizes == [16, 16, 8]
         np.testing.assert_allclose(logits[17], forward(Tensor(videos[17:18]), p).data[0],
                                    rtol=0, atol=1e-12)
