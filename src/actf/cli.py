@@ -5,7 +5,8 @@ flat JSON file (--config) with individual flags winning over file values.
 Every output table is tab-separated with a header row, preceded by '#' comment
 lines carrying the config hash and seed, and written atomically.
 
-Exit codes: 0 success, 1 numeric/check failure, 2 usage or configuration error.
+Exit codes: 0 success, 1 numeric/check failure, 2 usage or configuration error
+(running out of memory included).
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ def _merge_config(args, defaults: dict) -> dict:
     for key, v in cfg.items():
         if type(v) is float and not np.isfinite(v):
             raise ConfigError(f"config key {key!r}: must be finite, got {v!r}")
+    # main names these when a run runs out of memory
+    args.sizes = {k: v for k, v in cfg.items() if type(v) in (int, list)}
     return cfg
 
 
@@ -384,6 +387,11 @@ def main(argv=None) -> int:
     except (ShapeError, InputError, RuntimeError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:
+        sizes = ", ".join(f"{k}={v}" for k, v in getattr(args, "sizes", {}).items())
+        print(f"error: out of memory ({e}) at the configured sizes: {sizes or 'none'}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ branch. Ablation variants disable individual stages to isolate its effect.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, FormatError, InputError
 from . import tensor as T
 from .tensor import Tensor
-from .sketch import make_plan
+from .sketch import MAX_SIZE, make_plan
 from .attention import (
     PairFusionWeights,
     fuse_pair,
@@ -56,6 +57,11 @@ class ModelDims:
         for name in ("conv1_channels", "out_channels", "sketch_dim", "n_classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"ModelDims: {name} must be >= 1")
+        # With every size within int32, the sketch's hash tables are int32 and
+        # every tensor dim (C_out + d and 2 C_out at most) fits a checkpoint's u32.
+        for name, v in asdict(self).items():
+            if v > MAX_SIZE:
+                raise ConfigError(f"ModelDims: {name} must be <= {MAX_SIZE}, got {v}")
 
     @property
     def concat_channels(self) -> int:
@@ -114,46 +120,58 @@ class ModelParams:
 _CONV_GAIN = 6.0
 
 
-def _conv_layer(c_in, c_out, k, rng):
-    bound = _CONV_GAIN * np.sqrt(3.0 / (c_in * k * k))
-    w = Tensor(rng.uniform(-bound, bound, size=(c_out, c_in, k, k)), requires_grad=True)
-    b = Tensor(np.zeros(c_out), requires_grad=True)
+def _conv_layer(shape, rng):
+    bound = _CONV_GAIN * np.sqrt(3.0 / math.prod(shape[1:]))
+    w = Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+    b = Tensor(np.zeros(shape[0]), requires_grad=True)
     return w, b
 
 
-def _classifier_dim(dims: ModelDims, variant: str) -> int:
-    if variant in ("single-actf", "spatial-only"):
-        return dims.out_channels
-    return 2 * dims.out_channels
-
-
-def _init_classifier(dims: ModelDims, seed: int, variant: str):
+def _init_classifier(shape, seed: int):
     # Seeded by the classifier input width so variants with the same head
     # shape share an identical head initialization.
-    c_in = _classifier_dim(dims, variant)
+    c_in = shape[0]
     rng = np.random.default_rng([seed, c_in])
     bound = np.sqrt(3.0 / c_in)
-    w = Tensor(rng.uniform(-bound, bound, size=(c_in, dims.n_classes)), requires_grad=True)
-    b = Tensor(np.zeros(dims.n_classes), requires_grad=True)
+    w = Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+    b = Tensor(np.zeros(shape[1]), requires_grad=True)
     return w, b
+
+
+def param_shapes(dims: ModelDims, variant: str) -> dict:
+    """The shape of each tensor of ``named_tensors``, by name: ``init_params``
+    draws them, and ``load_checkpoint`` checks a file against them first."""
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    c1, c, k = dims.conv1_channels, dims.out_channels, dims.n_classes
+    clf = c if variant in ("single-actf", "spatial-only") else 2 * c
+    return {
+        "backbone.w1": (c1, IN_CHANNELS, 3, 3), "backbone.b1": (c1,),
+        "backbone.w2": (c, c1, 3, 3), "backbone.b2": (c,),
+        "attn.proj": (dims.sketch_dim, 1), "pair_fusion.raw_a": (), "pair_fusion.raw_b": (),
+        "reduction.w1": (dims.concat_channels, dims.r1), "reduction.b1": (dims.r1,),
+        "reduction.w2": (dims.r1, dims.r2), "reduction.b2": (dims.r2,),
+        "reduction.w3": (dims.r2, c), "reduction.b3": (c,),
+        "final_fusion.raw_a": (), "final_fusion.raw_b": (),
+        "clf.w": (clf, k), "clf.b": (k,),
+    }
 
 
 def init_params(dims: ModelDims, seed: int, variant: str = "full") -> ModelParams:
-    """Initialize all weights deterministically from ``seed``."""
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    """Initialize all weights deterministically from ``seed``, shaped by ``param_shapes``."""
+    shapes = param_shapes(dims, variant)
     rng = np.random.default_rng(seed)
-    w1, b1 = _conv_layer(IN_CHANNELS, dims.conv1_channels, 3, rng)
-    w2, b2 = _conv_layer(dims.conv1_channels, dims.out_channels, 3, rng)
-    attn = init_temporal_attention(dims.sketch_dim, rng)
-    reduction = init_reduction(dims.concat_channels, dims.r1, dims.r2, dims.out_channels, rng)
+    w1, b1 = _conv_layer(shapes["backbone.w1"], rng)
+    w2, b2 = _conv_layer(shapes["backbone.w2"], rng)
+    attn = init_temporal_attention(shapes["attn.proj"][0], rng)
+    reduction = init_reduction(*shapes["reduction.w1"], *shapes["reduction.w3"], rng)
     actf = ActfParams(
         plan=make_plan(dims.out_channels, dims.sketch_dim, seed),
         attn=attn,
         pair_fusion=init_pair_fusion(),
         reduction=reduction,
     )
-    clf_w, clf_b = _init_classifier(dims, seed, variant)
+    clf_w, clf_b = _init_classifier(shapes["clf.w"], seed)
     return ModelParams(
         dims=dims,
         seed=int(seed),
@@ -318,30 +336,32 @@ def load_checkpoint(path) -> ModelParams:
         plan_record, listed = (pm["seed"], pm["input_dim"], pm["output_dim"]), sorted(names)
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as e:
         raise FormatError(f"at byte 10: malformed checkpoint metadata: {e!r}") from e
-    params = init_params(dims, seed, variant)
-    plan = params.actf.plan
-    if plan_record != (plan.seed, plan.input_dim, plan.output_dim):
+    # Every size is checked against the metadata before the model is built:
+    # a small file must not make the loader allocate what its dims claim.
+    if plan_record != (seed, dims.out_channels, dims.sketch_dim):
         raise ConfigError("checkpoint plan record conflicts with model dims")
-    by_name = dict(named_tensors(params))
-    if listed != sorted(by_name):
+    shapes = param_shapes(dims, variant)
+    if listed != sorted(shapes):
         raise FormatError(
             f"at byte 10: checkpoint lists tensors {names}, "
-            f"expected each of {sorted(by_name)} exactly once"
+            f"expected each of {sorted(shapes)} exactly once"
         )
-    offset = 10 + meta_len
+    offset, loaded = 10 + meta_len, {}
     for name in names:
         start = offset
         t, offset = tensor_from_bytes(raw, offset)
-        target = by_name[name]
-        if t.data.size != target.data.size:
+        if t.data.size != math.prod(shapes[name]):
             raise FormatError(
                 f"at byte {start}: checkpoint tensor {name!r} has {t.data.size} values, "
-                f"expected {target.data.size}"
+                f"expected the {math.prod(shapes[name])} of {shapes[name]}"
             )
         if not np.isfinite(t.data).all():
             raise FormatError(f"at byte {start}: checkpoint tensor {name!r} holds non-finite values")
         # By size: older files store the reduction biases as (1, M) rows.
-        target.data = t.data.reshape(target.data.shape)
+        loaded[name] = t.data.reshape(shapes[name])
     if offset != len(raw):
         raise FormatError(f"at byte {offset}: {len(raw) - offset} trailing bytes after the last tensor")
+    params = init_params(dims, seed, variant)
+    for name, target in named_tensors(params):
+        target.data = loaded[name]
     return params

@@ -16,6 +16,7 @@ apply the signs where they gather from or sum into the table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,10 +47,15 @@ class SketchPlan:
     buckets: np.ndarray = field(repr=False)
 
 
+# The largest dim of a plan: its hash tables are int32.
+MAX_SIZE = int(np.iinfo(np.int32).max)
+
+
 def make_plan(input_dim: int, output_dim: int, seed: int) -> SketchPlan:
     """Draw hash and sign tables deterministically from ``seed``."""
-    if input_dim < 1 or output_dim < 1:
-        raise ConfigError(f"make_plan: dims must be >= 1, got ({input_dim}, {output_dim})")
+    if not (1 <= input_dim <= MAX_SIZE and 1 <= output_dim <= MAX_SIZE):
+        raise ConfigError(
+            f"make_plan: dims must be >= 1 and <= {MAX_SIZE}, got ({input_dim}, {output_dim})")
     rng = np.random.default_rng(seed)
     h1 = rng.integers(0, output_dim, size=input_dim, dtype=np.int32)
     h2 = rng.integers(0, output_dim, size=input_dim, dtype=np.int32)
@@ -63,7 +69,7 @@ def bucket_sum(v: np.ndarray, h: np.ndarray, d: int) -> np.ndarray:
     """Rows of v (..., K) summed into d buckets by one flat bincount:
     out[..., h[k]] += v[..., k]. With signs s folded into v, the count sketch."""
     lead, k = v.shape[:-1], v.shape[-1]
-    n = int(np.prod(lead))
+    n = math.prod(lead)
     flat = (np.arange(n)[:, None] * d + h).ravel()
     return np.bincount(flat, weights=v.reshape(n * k), minlength=n * d).reshape(lead + (d,))
 

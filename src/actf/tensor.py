@@ -24,6 +24,7 @@ instead of faulting it in again (see ``_pin_malloc_thresholds``).
 from __future__ import annotations
 
 import ctypes
+import math
 
 import numpy as np
 
@@ -177,13 +178,9 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    # Stable in both tails: exp only ever sees non-positive arguments.
-    xd = x.data
-    y = np.empty_like(xd)
-    pos = xd >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    e = np.exp(xd[~pos])
-    y[~pos] = e / (1.0 + e)
+    # 1 / (1 + e^-x) as exp(-log(1 + e^-x)) in one expression, with no mask:
+    # logaddexp never overflows, so both tails stay finite, and sigmoid(0) = 0.5.
+    y = np.exp(-np.logaddexp(0.0, -x.data))
     return apply_primitive(y, (x,), lambda g: (g * y * (1.0 - y),))
 
 
@@ -275,16 +272,17 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mean(x: Tensor, axes) -> Tensor:
-    """Mean over the given axes, which are dropped from the shape."""
+    """Mean over the given axes, which are dropped from the shape. One einsum sums
+    them in place, with no copy: on small arrays ``np.mean``'s wrapper costs more."""
     axes = tuple(sorted(a % x.data.ndim for a in axes))
-    xshape = x.data.shape
-    n = int(np.prod([xshape[a] for a in axes]))
+    xshape, rest = x.data.shape, [i for i in range(x.data.ndim) if i not in axes]
+    n = math.prod(xshape[a] for a in axes)
     kept = tuple(1 if i in axes else e for i, e in enumerate(xshape))
 
     def backward(g):
         return (np.broadcast_to(g.reshape(kept) / n, xshape),)
 
-    return apply_primitive(x.data.mean(axis=axes), (x,), backward)
+    return apply_primitive(np.einsum(x.data, range(x.data.ndim), rest) / n, (x,), backward)
 
 
 def _taps(kh: int, kw: int, H: int, W: int):

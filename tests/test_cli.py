@@ -476,6 +476,27 @@ def test_huge_noise_usage_error(tmp_path, capsys, noise, flags):
     assert not out.exists()
 
 
+def test_size_past_index_limits_usage_error(tmp_path, capsys):
+    # 2**40 is past the sketch's int32 hash tables: refused before any allocation
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(TINY, sketch_dim=2**40)))
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "sketch_dim must be <= 2147483647" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_of_memory_usage_error(tmp_path, tiny_cfg, capsys, monkeypatch):
+    def exhausted(*args, **kw):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    monkeypatch.setattr(M, "init_params", exhausted)
+    assert cli.main(["train", "--config", tiny_cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "out of memory (Unable to allocate 8.00 TiB)" in err
+    assert "out_channels=8" in err and "sketch_dim=32" in err
+
+
 # The values a key of _EXPERIMENT_DEFAULTS may take, for the draws below.
 USABLE = {
     "task": lambda v: v in D.TASK_KINDS, "variant": lambda v: v in M.VARIANTS,

@@ -1,6 +1,7 @@
 """Classifier assembly, ablation variants, and checkpoint round-trips."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,13 @@ class TestDims:
     def test_spatial_must_divide(self):
         with pytest.raises(ConfigError):
             tiny_dims(height=18)
+
+    @pytest.mark.parametrize("field", ["frames", "height", "out_channels", "sketch_dim"])
+    def test_sizes_within_int32(self, field):
+        # int32 sketch tables; C_out + d must fit a checkpoint's u32 dims
+        assert getattr(tiny_dims(**{field: 2**31 - 4}), field) == 2**31 - 4
+        with pytest.raises(ConfigError, match=f"{field} must be <= 2147483647"):
+            tiny_dims(**{field: 2**31 + 4})
 
     def test_reduction_defaults(self):
         d = tiny_dims()
@@ -279,6 +287,36 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="at byte 10: malformed checkpoint metadata"):
             M.load_checkpoint(path)
 
+    @staticmethod
+    def tiny_claiming(path, dim, plan_key, value):
+        """A tiny model's checkpoint whose dims and plan record claim dim = value."""
+        M.save_checkpoint(path, M.init_params(tiny_dims(), 0, "full"))
+        raw = path.read_bytes()
+        meta_len = int(np.frombuffer(raw[6:10], dtype="<u4")[0])
+        meta = json.loads(raw[10:10 + meta_len])
+        meta["dims"][dim] = meta["plan"][plan_key] = value
+        blob = json.dumps(meta, sort_keys=True).encode()
+        path.write_bytes(raw[:6] + np.uint32(len(blob)).tobytes() + blob + raw[10 + meta_len:])
+        return path
+
+    def test_claimed_size_checked_before_building(self, tmp_path):
+        # A small file whose dims claim C_out 1000 must not make the loader build
+        # that model (its C_out^2 sketch table and reduction weights) first.
+        path = self.tiny_claiming(tmp_path / "model.ckpt", "out_channels", "input_dim", 1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="'backbone.w2' has 216 values"):
+                M.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20
+
+    def test_size_past_index_limits_rejected(self, tmp_path):
+        path = self.tiny_claiming(tmp_path / "model.ckpt", "sketch_dim", "output_dim", 2**40)
+        with pytest.raises(ConfigError, match="sketch_dim must be <= 2147483647"):
+            M.load_checkpoint(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         M.save_checkpoint(path, M.init_params(tiny_dims(), 0, "full"))
@@ -286,6 +324,13 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x00\x01\x02")
         with pytest.raises(FormatError, match=f"at byte {size}"):
             M.load_checkpoint(path)
+
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_param_shapes_are_the_built_shapes(self, variant):
+        p = M.init_params(tiny_dims(), 0, variant)
+        assert M.param_shapes(p.dims, variant) == {
+            name: t.data.shape for name, t in M.named_tensors(p)}
+        assert list(M.param_shapes(p.dims, variant)) == [n for n, _ in M.named_tensors(p)]
 
     def test_named_tensor_order_stable(self):
         p = M.init_params(tiny_dims(), 0, "full")

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from actf import sketch as S
 from actf import tensor as T
 from actf.check import gradient_error
-from actf.errors import ShapeError
+from actf.errors import ConfigError, ShapeError
 
 
 def t(x, grad=False):
@@ -40,6 +40,11 @@ class TestPlan:
         np.testing.assert_array_equal(plan.h2, [2, 13, 10, 14, 8, 9, 15, 11])
         np.testing.assert_array_equal(plan.s1, [1, 1, 1, 1, -1, 1, 1, -1])
         np.testing.assert_array_equal(plan.s2, [-1, 1, 1, -1, 1, 1, 1, -1])
+
+    @pytest.mark.parametrize("dims", [(8, 2**31), (2**40, 8), (0, 8)])
+    def test_dims_outside_int32_tables_rejected(self, dims):
+        with pytest.raises(ConfigError, match="make_plan: dims must be >= 1 and <= 2147483647"):
+            S.make_plan(*dims, seed=0)
 
     def test_degenerate(self):
         plan = S.make_plan(1, 1, seed=0)

@@ -1,6 +1,7 @@
 """Unit tests for the autodiff tensor core."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,20 @@ class TestSigmoid:
 
         assert gradient_error(make_loss, [x]) < 1e-6
 
+    def test_matches_two_branch_form(self):
+        # The textbook stable form, with exp only of non-positive arguments.
+        x = np.linspace(-745.0, 745.0, 200001)
+        pos = x >= 0
+        ref = np.empty_like(x)
+        ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        e = np.exp(x[~pos])
+        ref[~pos] = e / (1.0 + e)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow or invalid value
+            y = T.sigmoid(t(x)).data
+        assert (ref > 0).all()
+        assert np.max(np.abs(y - ref) / ref) < 1e-14
+
 
 class TestSoftmax:
     def test_equal_inputs(self):
@@ -174,6 +189,27 @@ class TestMean:
         def make_loss():
             out = T.mean(x, (1, 3, 4))
             return T.reshape(T.matmul(T.reshape(out, (1, 8)), proj), ())
+
+        assert gradient_error(make_loss, [x]) < 1e-6
+
+    @given(shape=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+           kind=st.sampled_from(["trailing", "leading", "interleaved", "all"]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_any_axes_match_numpy(self, shape, kind, seed):
+        nd = len(shape)
+        axes = {"trailing": range(nd // 2, nd), "leading": range((nd + 1) // 2),
+                "interleaved": range(nd % 2, nd, 2), "all": range(nd)}[kind]
+        rng = np.random.default_rng(seed)
+        x = t(rng.standard_normal(shape), grad=True)
+        axes = tuple(axes)
+        np.testing.assert_allclose(T.mean(x, axes).data, x.data.mean(axis=axes),
+                                   rtol=0, atol=1e-12)
+        kept = int(np.prod([e for i, e in enumerate(shape) if i not in axes]))
+        proj = t(rng.standard_normal((kept, 1)))
+
+        def make_loss():
+            return T.reshape(T.matmul(T.reshape(T.mean(x, axes), (1, kept)), proj), ())
 
         assert gradient_error(make_loss, [x]) < 1e-6
 
