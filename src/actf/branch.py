@@ -57,36 +57,26 @@ class LowLevelFeature:
         return self.tensor.data.shape[-4]
 
 
-@dataclass
-class ReductionNetwork:
-    """Three linear layers (ReLU after the first two) mapping pooled fused
-    features (B, C) down to (B, C_out)."""
-
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-    w3: Tensor
-    b3: Tensor
-
-    def apply(self, v: Tensor) -> Tensor:
-        x = T.relu(T.linear(v, self.w1, self.b1))
-        x = T.relu(T.linear(x, self.w2, self.b2))
-        return T.linear(x, self.w3, self.b3)
-
-
 def init_reduction(in_dim: int, r1: int, r2: int, out_dim: int,
-                   rng: np.random.Generator) -> ReductionNetwork:
-    def layer(fan_in, fan_out):
+                   rng: np.random.Generator) -> dict:
+    """The reduction network's weights {"w1", "b1", ..., "b3"}: each weight
+    uniform within +-sqrt(3 / fan-in), each bias zero."""
+    widths = (in_dim, r1, r2, out_dim)
+    weights = {}
+    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:]), 1):
         bound = np.sqrt(3.0 / fan_in)
-        w = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=True)
-        b = Tensor(np.zeros(fan_out), requires_grad=True)
-        return w, b
+        weights[f"w{i}"] = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)),
+                                  requires_grad=True)
+        weights[f"b{i}"] = Tensor(np.zeros(fan_out), requires_grad=True)
+    return weights
 
-    w1, b1 = layer(in_dim, r1)
-    w2, b2 = layer(r1, r2)
-    w3, b3 = layer(r2, out_dim)
-    return ReductionNetwork(w1, b1, w2, b2, w3, b3)
+
+def reduction(v: Tensor, w: dict) -> Tensor:
+    """Three linear layers (ReLU after the first two) mapping pooled fused
+    features (B, C) down to (B, C_out), with the weights of ``init_reduction``."""
+    x = T.relu(T.linear(v, w["w1"], w["b1"]))
+    x = T.relu(T.linear(x, w["w2"], w["b2"]))
+    return T.linear(x, w["w3"], w["b3"])
 
 
 @dataclass
@@ -96,7 +86,7 @@ class ActfParams:
     plan: SketchPlan
     attn: Tensor               # (d, 1) temporal attention projection
     pair_fusion: PairFusionWeights
-    reduction: ReductionNetwork
+    reduction: dict            # {"w1", "b1", ..., "b3"} of ``init_reduction``
 
 
 def _frame_pairs(x: Tensor):
@@ -152,5 +142,5 @@ def extract_actf(F: LowLevelFeature, params: ActfParams,
         h_cat = fuse_pair(iccf, imf, params.pair_fusion)
     else:
         h_cat = T.concat_channels(iccf, imf)
-    v = params.reduction.apply(h_cat)
+    v = reduction(h_cat, params.reduction)
     return T.reshape(v, v.data.shape[1:]) if F.unbatched else v

@@ -119,11 +119,8 @@ def _build_experiment(cfg: dict):
         width=cfg["width"], per_class=cfg["train_per_class"],
         noise=cfg["noise"], seed=cfg["seed"],
     )
-    eval_task = D.SyntheticTask(
-        kind=cfg["task"], frames=cfg["frames"], height=cfg["height"],
-        width=cfg["width"], per_class=cfg["eval_per_class"],
-        noise=cfg["noise"], seed=cfg["seed"] + 1,
-    )
+    eval_task = dataclasses.replace(train_task, per_class=cfg["eval_per_class"],
+                                    seed=cfg["seed"] + 1)
     dims = M.ModelDims(
         frames=cfg["frames"], height=cfg["height"], width=cfg["width"],
         conv1_channels=cfg["conv1_channels"], out_channels=cfg["out_channels"],
@@ -239,7 +236,7 @@ def cmd_eval(args) -> int:
     preds = np.argmax(TR.predict(params, dataset), axis=1)
     per_class_n = np.bincount(labels, minlength=d.n_classes)
     per_class_correct = np.bincount(labels[preds == labels], minlength=d.n_classes)
-    wa, wb = effective_weights(params.final_fusion)
+    wa, wb = effective_weights(M.fusion_weights(params.tensors, "final_fusion"))
     delta, epsilon = float(wa.data), float(wb.data)
     fusion_rows = [(i, int(y), int(p), delta, epsilon)
                    for i, (y, p) in enumerate(zip(labels, preds))]

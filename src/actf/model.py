@@ -18,19 +18,9 @@ import numpy as np
 from .errors import ConfigError, FormatError, InputError
 from . import tensor as T
 from .tensor import Tensor
-from .sketch import MAX_SIZE, make_plan
-from .attention import (
-    PairFusionWeights,
-    fuse_pair,
-    init_pair_fusion,
-    init_temporal_attention,
-)
-from .branch import (
-    ActfParams,
-    LowLevelFeature,
-    extract_actf,
-    init_reduction,
-)
+from .sketch import MAX_SIZE, SketchPlan, make_plan
+from .attention import PairFusionWeights, fuse_pair
+from .branch import ActfParams, LowLevelFeature, extract_actf
 
 IN_CHANNELS = 3   # RGB frames
 
@@ -83,34 +73,32 @@ class ModelDims:
 
 
 @dataclass
-class Backbone:
-    """Two 3x3 same-padded conv layers, each with ReLU and a 2x2 mean pool in
-    one ``tensor.conv_relu_pool`` record (one GEMM on a channels-first im2col),
-    run on all B*t frames of a (B, t, C, H, W) batch at once."""
-
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-    def apply(self, videos: Tensor) -> LowLevelFeature:
-        n, t = videos.data.shape[:2]
-        x = T.reshape(videos, (n * t,) + videos.data.shape[2:])
-        x = T.conv_relu_pool(x, self.w1, self.b1)
-        x = T.conv_relu_pool(x, self.w2, self.b2)
-        return LowLevelFeature(T.reshape(x, (n, t) + x.data.shape[1:]))
-
-
-@dataclass
 class ModelParams:
+    """One model: its sizes, seed and variant, the frozen sketch plan, and
+    every tensor by its checkpoint name, in ``param_shapes`` order."""
+
     dims: ModelDims
     seed: int
     variant: str
-    backbone: Backbone
-    actf: ActfParams
-    final_fusion: PairFusionWeights
-    clf_w: Tensor
-    clf_b: Tensor
+    plan: SketchPlan
+    tensors: dict
+
+    @property
+    def actf(self) -> ActfParams:
+        """The temporal branch's weights: the plan and the same Tensor objects."""
+        t = self.tensors
+        return ActfParams(
+            plan=self.plan,
+            attn=t["attn.proj"],
+            pair_fusion=fusion_weights(t, "pair_fusion"),
+            reduction={name.removeprefix("reduction."): x for name, x in t.items()
+                       if name.startswith("reduction.")},
+        )
+
+
+def fusion_weights(tensors: dict, site: str) -> PairFusionWeights:
+    """The raw scalar pair of a fusion site, ``pair_fusion`` or ``final_fusion``."""
+    return PairFusionWeights(tensors[f"{site}.raw_a"], tensors[f"{site}.raw_b"])
 
 
 # Inputs are sparse (a small bright blob on a zero background), so fan-in
@@ -118,24 +106,6 @@ class ModelParams:
 # global learning rate. The extra gain keeps both feature vectors near
 # unit scale at init.
 _CONV_GAIN = 6.0
-
-
-def _conv_layer(shape, rng):
-    bound = _CONV_GAIN * np.sqrt(3.0 / math.prod(shape[1:]))
-    w = Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-    b = Tensor(np.zeros(shape[0]), requires_grad=True)
-    return w, b
-
-
-def _init_classifier(shape, seed: int):
-    # Seeded by the classifier input width so variants with the same head
-    # shape share an identical head initialization.
-    c_in = shape[0]
-    rng = np.random.default_rng([seed, c_in])
-    bound = np.sqrt(3.0 / c_in)
-    w = Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-    b = Tensor(np.zeros(shape[1]), requires_grad=True)
-    return w, b
 
 
 def param_shapes(dims: ModelDims, variant: str) -> dict:
@@ -158,30 +128,27 @@ def param_shapes(dims: ModelDims, variant: str) -> dict:
 
 
 def init_params(dims: ModelDims, seed: int, variant: str = "full") -> ModelParams:
-    """Initialize all weights deterministically from ``seed``, shaped by ``param_shapes``."""
-    shapes = param_shapes(dims, variant)
+    """Draw every tensor of ``param_shapes`` deterministically from ``seed``, in order.
+
+    Biases and fusion scalars start at zero. A weight is uniform within
+    +-sqrt(3 / fan-in), times ``_CONV_GAIN`` for the conv kernels. ``clf.w``
+    draws from its own [seed, fan-in] stream, so variants with the same head
+    shape share an identical head initialization.
+    """
     rng = np.random.default_rng(seed)
-    w1, b1 = _conv_layer(shapes["backbone.w1"], rng)
-    w2, b2 = _conv_layer(shapes["backbone.w2"], rng)
-    attn = init_temporal_attention(shapes["attn.proj"][0], rng)
-    reduction = init_reduction(*shapes["reduction.w1"], *shapes["reduction.w3"], rng)
-    actf = ActfParams(
-        plan=make_plan(dims.out_channels, dims.sketch_dim, seed),
-        attn=attn,
-        pair_fusion=init_pair_fusion(),
-        reduction=reduction,
-    )
-    clf_w, clf_b = _init_classifier(shapes["clf.w"], seed)
-    return ModelParams(
-        dims=dims,
-        seed=int(seed),
-        variant=variant,
-        backbone=Backbone(w1, b1, w2, b2),
-        actf=actf,
-        final_fusion=init_pair_fusion(),
-        clf_w=clf_w,
-        clf_b=clf_b,
-    )
+    tensors = {}
+    for name, shape in param_shapes(dims, variant).items():
+        if len(shape) < 2:
+            data = np.zeros(shape)
+        else:
+            kernel = len(shape) == 4
+            fan_in = math.prod(shape[1:]) if kernel else shape[0]
+            bound = (_CONV_GAIN if kernel else 1.0) * np.sqrt(3.0 / fan_in)
+            draw = np.random.default_rng([seed, fan_in]) if name == "clf.w" else rng
+            data = draw.uniform(-bound, bound, size=shape)
+        tensors[name] = Tensor(data, requires_grad=True)
+    return ModelParams(dims, int(seed), variant,
+                       make_plan(dims.out_channels, dims.sketch_dim, seed), tensors)
 
 
 def stpool(F: LowLevelFeature) -> Tensor:
@@ -202,7 +169,13 @@ def forward(videos: Tensor, params: ModelParams) -> Tensor:
         raise InputError(
             f"forward: spatial size {videos.data.shape[3:]} != configured ({d.height}, {d.width})"
         )
-    F = params.backbone.apply(videos)
+    # Both conv layers run on all B*t frames at once.
+    t = params.tensors
+    n, frames = videos.data.shape[:2]
+    x = T.reshape(videos, (n * frames,) + videos.data.shape[2:])
+    x = T.conv_relu_pool(x, t["backbone.w1"], t["backbone.b1"])
+    x = T.conv_relu_pool(x, t["backbone.w2"], t["backbone.b2"])
+    F = LowLevelFeature(T.reshape(x, (n, frames) + x.data.shape[1:]))
     variant = params.variant
     if variant == "spatial-only":
         v = stpool(F)
@@ -212,10 +185,10 @@ def forward(videos: Tensor, params: ModelParams) -> Tensor:
         v = T.concat_channels(extract_actf(F, params.actf, attend=False), stpool(F))
     elif variant in ("full", "iccf-only"):
         v_actf = extract_actf(F, params.actf, imf_weight_zero=(variant == "iccf-only"))
-        v = fuse_pair(v_actf, stpool(F), params.final_fusion)
+        v = fuse_pair(v_actf, stpool(F), fusion_weights(t, "final_fusion"))
     else:
         raise ConfigError(f"unknown variant {variant!r}")
-    return T.linear(v, params.clf_w, params.clf_b)
+    return T.linear(v, t["clf.w"], t["clf.b"])
 
 
 # Each variant, with the parameter groups (name prefixes in `named_tensors`)
@@ -231,31 +204,12 @@ VARIANTS = tuple(_UNREACHED)
 
 
 # ---------------------------------------------------------------------------
-# parameter registry
+# the parameter table
 
 
 def named_tensors(params: ModelParams):
-    """Every tensor of the model in a fixed serialization order."""
-    r = params.actf.reduction
-    return [
-        ("backbone.w1", params.backbone.w1),
-        ("backbone.b1", params.backbone.b1),
-        ("backbone.w2", params.backbone.w2),
-        ("backbone.b2", params.backbone.b2),
-        ("attn.proj", params.actf.attn),
-        ("pair_fusion.raw_a", params.actf.pair_fusion.raw_a),
-        ("pair_fusion.raw_b", params.actf.pair_fusion.raw_b),
-        ("reduction.w1", r.w1),
-        ("reduction.b1", r.b1),
-        ("reduction.w2", r.w2),
-        ("reduction.b2", r.b2),
-        ("reduction.w3", r.w3),
-        ("reduction.b3", r.b3),
-        ("final_fusion.raw_a", params.final_fusion.raw_a),
-        ("final_fusion.raw_b", params.final_fusion.raw_b),
-        ("clf.w", params.clf_w),
-        ("clf.b", params.clf_b),
-    ]
+    """Every (name, tensor) of the model, in checkpoint order."""
+    return params.tensors.items()
 
 
 def trainable_parameters(params: ModelParams):
@@ -292,9 +246,9 @@ def save_checkpoint(path, params: ModelParams) -> None:
         "seed": params.seed,
         "variant": params.variant,
         "plan": {
-            "seed": params.actf.plan.seed,
-            "input_dim": params.actf.plan.input_dim,
-            "output_dim": params.actf.plan.output_dim,
+            "seed": params.plan.seed,
+            "input_dim": params.plan.input_dim,
+            "output_dim": params.plan.output_dim,
         },
         "tensors": [name for name, _ in named_tensors(params)],
     }
@@ -361,7 +315,6 @@ def load_checkpoint(path) -> ModelParams:
         loaded[name] = t.data.reshape(shapes[name])
     if offset != len(raw):
         raise FormatError(f"at byte {offset}: {len(raw) - offset} trailing bytes after the last tensor")
-    params = init_params(dims, seed, variant)
-    for name, target in named_tensors(params):
-        target.data = loaded[name]
-    return params
+    tensors = {name: Tensor(loaded[name], requires_grad=True) for name in shapes}
+    return ModelParams(dims, seed, variant,
+                       make_plan(dims.out_channels, dims.sketch_dim, seed), tensors)

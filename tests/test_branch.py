@@ -121,7 +121,7 @@ class TestImf:
 class TestExtractActf:
     def test_zero_input_zero_output(self):
         p = _params(c_out=3, d=6)
-        for b in (p.reduction.b1, p.reduction.b2, p.reduction.b3):
+        for b in (p.reduction["b1"], p.reduction["b2"], p.reduction["b3"]):
             b.data = np.zeros_like(b.data)
         F = B.LowLevelFeature(t(np.zeros((3, 3, 2, 2))))
         out = B.extract_actf(F, p)
@@ -157,9 +157,9 @@ class TestExtractActf:
         h = np.concatenate([0.5 * pair, 0.5 * l])
 
         red = p.reduction
-        z = np.maximum(h @ red.w1.data + red.b1.data.ravel(), 0.0)
-        z = np.maximum(z @ red.w2.data + red.b2.data.ravel(), 0.0)
-        z = z @ red.w3.data + red.b3.data.ravel()
+        z = np.maximum(h @ red["w1"].data + red["b1"].data.ravel(), 0.0)
+        z = np.maximum(z @ red["w2"].data + red["b2"].data.ravel(), 0.0)
+        z = z @ red["w3"].data + red["b3"].data.ravel()
         np.testing.assert_allclose(out.data, z, atol=1e-9)
 
     def test_batch_rows_match_single_videos(self):
@@ -196,8 +196,8 @@ class TestExtractActf:
         p = _params(c_out=3, d=6)
         F = B.LowLevelFeature(t(rng.standard_normal((3, 3, 2, 2))))
         out_a = B.extract_actf(F, p, imf_weight_zero=True)
-        p.reduction.w1.data[6:, :] = rng.standard_normal(
-            p.reduction.w1.data[6:, :].shape)
+        p.reduction["w1"].data[6:, :] = rng.standard_normal(
+            p.reduction["w1"].data[6:, :].shape)
         out_b = B.extract_actf(F, p, imf_weight_zero=True)
         np.testing.assert_allclose(out_a.data, out_b.data, atol=1e-12)
 
@@ -223,7 +223,7 @@ class TestExtractActf:
             h = A.fuse_pair(iccf, imf, p.pair_fusion)
         else:
             h = T.concat_channels(iccf, imf)
-        v = p.reduction.apply(T.mean(h, (1, 3, 4))).data
+        v = B.reduction(T.mean(h, (1, 3, 4)), p.reduction).data
         expect = v[0] if len(shape) == 4 else v
         got = B.extract_actf(F, p, **kw).data
         assert got.shape == expect.shape
@@ -284,14 +284,14 @@ class TestReduction:
     def test_layer_widths(self):
         rng = np.random.default_rng(11)
         red = B.init_reduction(10, 5, 8, 4, rng)
-        assert red.w1.data.shape == (10, 5)
-        assert red.w2.data.shape == (5, 8)
-        assert red.w3.data.shape == (8, 4)
+        assert red["w1"].data.shape == (10, 5)
+        assert red["w2"].data.shape == (5, 8)
+        assert red["w3"].data.shape == (8, 4)
 
     def test_zero_input_zero_biases(self):
         rng = np.random.default_rng(12)
         red = B.init_reduction(6, 3, 4, 2, rng)
-        for b in (red.b1, red.b2, red.b3):
+        for b in (red["b1"], red["b2"], red["b3"]):
             b.data = np.zeros_like(b.data)
-        out = red.apply(t(np.zeros((3, 6))))
+        out = B.reduction(t(np.zeros((3, 6))), red)
         np.testing.assert_allclose(out.data, np.zeros((3, 2)), atol=1e-15)

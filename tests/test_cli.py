@@ -236,10 +236,10 @@ def test_eval_refuses_tensor_of_wrong_size(tmp_path, tiny_cfg, capsys):
 
     params = M.init_params(M.ModelDims(frames=4, height=16, width=16, conv1_channels=3,
                                        out_channels=8, sketch_dim=32, n_classes=4), 0)
-    params.clf_b.data = np.zeros(5)
+    params.tensors["clf.b"].data = np.zeros(5)
     ckpt = tmp_path / "big.ckpt"
     M.save_checkpoint(ckpt, params)
-    start = ckpt.stat().st_size - len(tensor_to_bytes(params.clf_b))
+    start = ckpt.stat().st_size - len(tensor_to_bytes(params.tensors["clf.b"]))
     rc = cli.main(["eval", "--checkpoint", str(ckpt), "--config", tiny_cfg,
                    "--out", str(tmp_path / "ev")])
     assert rc == 2
@@ -251,10 +251,10 @@ def test_eval_refuses_non_finite_checkpoint_tensor(tmp_path, tiny_cfg, capsys):
 
     params = M.init_params(M.ModelDims(frames=4, height=16, width=16, conv1_channels=3,
                                        out_channels=8, sketch_dim=32, n_classes=4), 0)
-    params.clf_b.data[1] = np.nan
+    params.tensors["clf.b"].data[1] = np.nan
     ckpt = tmp_path / "nan.ckpt"
     M.save_checkpoint(ckpt, params)
-    start = ckpt.stat().st_size - len(tensor_to_bytes(params.clf_b))
+    start = ckpt.stat().st_size - len(tensor_to_bytes(params.tensors["clf.b"]))
     rc = cli.main(["eval", "--checkpoint", str(ckpt), "--config", tiny_cfg,
                    "--out", str(tmp_path / "ev")])
     assert rc == 2

@@ -1,5 +1,6 @@
 """Classifier assembly, ablation variants, and checkpoint round-trips."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -138,7 +139,7 @@ class TestVariants:
         video = t(np.random.default_rng(3).standard_normal((1, 4, 3, 16, 16)))
         a = M.forward(video, p).data.copy()
         d = dims.sketch_dim
-        p.actf.reduction.w1.data[d:, :] += 1.0
+        p.tensors["reduction.w1"].data[d:, :] += 1.0
         b = M.forward(video, p).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -194,7 +195,7 @@ class TestCheckpoint:
         # by size into (M,) biases and give the same logits
         p = M.init_params(tiny_dims(), 9, "full")
         rng = np.random.default_rng(9)
-        biases = (p.actf.reduction.b1, p.actf.reduction.b2, p.actf.reduction.b3)
+        biases = tuple(p.tensors[f"reduction.b{i}"] for i in (1, 2, 3))
         for b in biases:
             b.data = rng.standard_normal(b.data.shape)
         M.save_checkpoint(tmp_path / "flat.ckpt", p)
@@ -202,8 +203,9 @@ class TestCheckpoint:
             b.data = b.data[None]
         M.save_checkpoint(tmp_path / "row.ckpt", p)
         flat, row = (M.load_checkpoint(tmp_path / f) for f in ("flat.ckpt", "row.ckpt"))
-        r = row.actf.reduction
-        assert [b.data.shape for b in (r.b1, r.b2, r.b3)] == [b.data.shape[1:] for b in biases]
+        r = row.tensors
+        assert ([r[f"reduction.b{i}"].data.shape for i in (1, 2, 3)]
+                == [b.data.shape[1:] for b in biases])
         video = t(rng.uniform(0.0, 1.0, (2, 4, 3, 16, 16)))
         np.testing.assert_array_equal(M.forward(video, row).data, M.forward(video, flat).data)
 
@@ -249,7 +251,7 @@ class TestCheckpoint:
         from actf.data import tensor_to_bytes
 
         p = M.init_params(tiny_dims(), 0, "full")
-        p.clf_b.data = np.full_like(p.clf_b.data, 5.0)
+        p.tensors["clf.b"].data = np.full_like(p.tensors["clf.b"].data, 5.0)
         path = tmp_path / "model.ckpt"
         M.save_checkpoint(path, p)
         raw = path.read_bytes()
@@ -257,7 +259,7 @@ class TestCheckpoint:
         meta = json.loads(raw[10:10 + meta_len])
         meta["tensors"].remove("clf.b")
         blob = json.dumps(meta, sort_keys=True).encode()
-        payload = raw[10 + meta_len:-len(tensor_to_bytes(p.clf_b))]
+        payload = raw[10 + meta_len:-len(tensor_to_bytes(p.tensors["clf.b"]))]
         path.write_bytes(raw[:6] + np.uint32(len(blob)).tobytes() + blob + payload)
         with pytest.raises(FormatError, match="at byte 10"):
             M.load_checkpoint(path)
@@ -325,6 +327,20 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=f"at byte {size}"):
             M.load_checkpoint(path)
 
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
+        # the loader builds the model from the file's tensors alone
+        p = M.init_params(tiny_dims(), 3, "full")
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(path, p)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a model")
+
+        monkeypatch.setattr(M, "init_params", no_draw)
+        q = M.load_checkpoint(path)
+        assert [n for n, _ in M.named_tensors(q)] == [n for n, _ in M.named_tensors(p)]
+        assert all(x.requires_grad for _, x in M.named_tensors(q))
+
     @pytest.mark.parametrize("variant", M.VARIANTS)
     def test_param_shapes_are_the_built_shapes(self, variant):
         p = M.init_params(tiny_dims(), 0, variant)
@@ -338,3 +354,19 @@ class TestCheckpoint:
         assert names[0] == "backbone.w1"
         assert names == sorted(names, key=names.index)
         assert len(names) == len(set(names))
+
+
+class TestInit:
+    # sha256 over (name, float64 bytes) of every tensor, first 16 hex digits:
+    # the draws of the per-layer initializers this one-loop init replaced
+    DIGESTS = {"full": "b0c950d1c30a5c35", "iccf-only": "b0c950d1c30a5c35",
+               "no-attn": "b0c950d1c30a5c35", "single-actf": "fc30e9b1e6019ba2",
+               "spatial-only": "fc30e9b1e6019ba2"}
+
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_draws_are_pinned(self, variant):
+        h = hashlib.sha256()
+        for name, x in M.named_tensors(M.init_params(tiny_dims(n_classes=4), 0, variant)):
+            h.update(name.encode())
+            h.update(np.asarray(x.data, dtype=np.float64).tobytes())
+        assert h.hexdigest()[:16] == self.DIGESTS[variant]
