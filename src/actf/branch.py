@@ -15,7 +15,7 @@ uses only their means over space and pairs, so it never forms them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +35,7 @@ class LowLevelFeature:
     """
 
     tensor: Tensor
+    _mean: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tensor.data.ndim not in (4, 5):
@@ -55,6 +56,15 @@ class LowLevelFeature:
     @property
     def frames(self) -> int:
         return self.tensor.data.shape[-4]
+
+    @property
+    def spatial_mean(self) -> Tensor:
+        """Each frame's mean over space, (B, t, C). The branch and the spatial pool
+        share it: it is taken once per feature array and active tape."""
+        key = (self.tensor.data, T.active_tape())
+        if self._mean is None or any(a is not b for a, b in zip(self._mean[0], key)):
+            self._mean = key, T.mean(self.batch, (3, 4))
+        return self._mean[1]
 
 
 def init_reduction(in_dim: int, r1: int, r2: int, out_dim: int,
@@ -134,7 +144,7 @@ def extract_actf(F: LowLevelFeature, params: ActfParams,
     else:
         weights = Tensor(np.full((n, t - 1), 1.0 / (t - 1)))
     iccf = weighted_bilinear(rows, weights, params.plan)
-    first, second = _frame_pairs(T.mean(x, (3, 4)))
+    first, second = _frame_pairs(F.spatial_mean)
     imf = T.mean(T.scale(T.add(first, second), 0.5), (1,))
     if imf_weight_zero:
         h_cat = T.concat_channels(iccf, T.scale(imf, 0.0))

@@ -86,14 +86,18 @@ class ModelParams:
     @property
     def actf(self) -> ActfParams:
         """The temporal branch's weights: the plan and the same Tensor objects."""
-        t = self.tensors
-        return ActfParams(
-            plan=self.plan,
-            attn=t["attn.proj"],
-            pair_fusion=fusion_weights(t, "pair_fusion"),
-            reduction={name.removeprefix("reduction."): x for name, x in t.items()
-                       if name.startswith("reduction.")},
-        )
+        return branch_params(self.tensors, self.plan)
+
+
+def branch_params(tensors: dict, plan: SketchPlan) -> ActfParams:
+    """The temporal branch's view of a tensor table: the plan and the same Tensors."""
+    return ActfParams(
+        plan=plan,
+        attn=tensors["attn.proj"],
+        pair_fusion=fusion_weights(tensors, "pair_fusion"),
+        reduction={name.removeprefix("reduction."): x for name, x in tensors.items()
+                   if name.startswith("reduction.")},
+    )
 
 
 def fusion_weights(tensors: dict, site: str) -> PairFusionWeights:
@@ -153,11 +157,13 @@ def init_params(dims: ModelDims, seed: int, variant: str = "full") -> ModelParam
 
 def stpool(F: LowLevelFeature) -> Tensor:
     """Global mean over time and space per channel (the spatial branch): (B, C)."""
-    return T.mean(F.batch, (1, 3, 4))
+    return T.mean(F.spatial_mean, (1,))
 
 
 def forward(videos: Tensor, params: ModelParams) -> Tensor:
-    """Run a batch of videos (B, t, 3, H, W) through the variant's pipeline to logits (B, classes)."""
+    """Run a batch of videos (B, t, 3, H, W) through the variant's pipeline to logits (B, classes).
+
+    Large batches run as one shard per core (``tensor.batch_parallel``)."""
     d = params.dims
     if videos.data.ndim != 5 or videos.data.shape[2] != IN_CHANNELS:
         raise InputError(
@@ -169,26 +175,29 @@ def forward(videos: Tensor, params: ModelParams) -> Tensor:
         raise InputError(
             f"forward: spatial size {videos.data.shape[3:]} != configured ({d.height}, {d.width})"
         )
-    # Both conv layers run on all B*t frames at once.
-    t = params.tensors
-    n, frames = videos.data.shape[:2]
-    x = T.reshape(videos, (n * frames,) + videos.data.shape[2:])
-    x = T.conv_relu_pool(x, t["backbone.w1"], t["backbone.b1"])
-    x = T.conv_relu_pool(x, t["backbone.w2"], t["backbone.b2"])
-    F = LowLevelFeature(T.reshape(x, (n, frames) + x.data.shape[1:]))
-    variant = params.variant
-    if variant == "spatial-only":
-        v = stpool(F)
-    elif variant == "single-actf":
-        v = extract_actf(F, params.actf)
-    elif variant == "no-attn":
-        v = T.concat_channels(extract_actf(F, params.actf, attend=False), stpool(F))
-    elif variant in ("full", "iccf-only"):
-        v_actf = extract_actf(F, params.actf, imf_weight_zero=(variant == "iccf-only"))
-        v = fuse_pair(v_actf, stpool(F), fusion_weights(t, "final_fusion"))
-    else:
-        raise ConfigError(f"unknown variant {variant!r}")
-    return T.linear(v, t["clf.w"], t["clf.b"])
+    if params.variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {params.variant!r}")
+
+    def logits(videos: Tensor, t: dict) -> Tensor:
+        # Both conv layers run on all B*t frames at once.
+        n, frames = videos.data.shape[:2]
+        x = T.reshape(videos, (n * frames,) + videos.data.shape[2:])
+        x = T.conv_relu_pool(x, t["backbone.w1"], t["backbone.b1"])
+        x = T.conv_relu_pool(x, t["backbone.w2"], t["backbone.b2"])
+        F = LowLevelFeature(T.reshape(x, (n, frames) + x.data.shape[1:]))
+        variant, actf = params.variant, branch_params(t, params.plan)
+        if variant == "spatial-only":
+            v = stpool(F)
+        elif variant == "single-actf":
+            v = extract_actf(F, actf)
+        elif variant == "no-attn":
+            v = T.concat_channels(extract_actf(F, actf, attend=False), stpool(F))
+        else:
+            v_actf = extract_actf(F, actf, imf_weight_zero=(variant == "iccf-only"))
+            v = fuse_pair(v_actf, stpool(F), fusion_weights(t, "final_fusion"))
+        return T.linear(v, t["clf.w"], t["clf.b"])
+
+    return T.batch_parallel(logits, videos, params.tensors)
 
 
 # Each variant, with the parameter groups (name prefixes in `named_tensors`)

@@ -46,6 +46,20 @@ class TestLowLevelFeature:
             assert F.frames == 8
             assert F.batch.data.shape == (1 if len(shape) == 4 else 3, 8, 16, 7, 7)
 
+    def test_spatial_mean_follows_data_and_tape(self):
+        # one mean per feature array and tape: reused within them, taken anew across
+        f = t(np.random.default_rng(3).uniform(0, 1, (2, 3, 4, 2, 2)), grad=True)
+        F = B.LowLevelFeature(f)
+        untaped = F.spatial_mean
+        np.testing.assert_allclose(untaped.data, f.data.mean(axis=(3, 4)), rtol=1e-15)
+        assert F.spatial_mean is untaped
+        with T.Tape() as tape:
+            taped = F.spatial_mean
+            assert taped is not untaped and F.spatial_mean is taped
+            assert len(tape._records) == 1
+        f.data = f.data * 2.0
+        np.testing.assert_allclose(F.spatial_mean.data, 2.0 * untaped.data, rtol=1e-15)
+
 
 class TestIccf:
     def test_zero_input(self):

@@ -66,6 +66,15 @@ class TestForward:
         logits = M.forward(t(np.zeros((1, 4, 3, 16, 16))), p)
         np.testing.assert_allclose(logits.data, np.zeros((1, 3)), atol=1e-15)
 
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_backbone_map_is_reduced_once(self, variant, monkeypatch):
+        # the branch's IMF and the spatial pool share one spatial mean of the map
+        ranks, mean = [], T.mean
+        monkeypatch.setattr(T, "mean", lambda x, axes: ranks.append(x.data.ndim) or mean(x, axes))
+        M.forward(t(np.random.default_rng(0).uniform(0, 1, (2, 4, 3, 16, 16))),
+                  M.init_params(tiny_dims(), 0, variant))
+        assert ranks.count(5) == 1
+
     def test_spatial_only_order_invariant(self):
         dims = tiny_dims()
         p = M.init_params(dims, 1, "spatial-only")
