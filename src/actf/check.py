@@ -202,17 +202,12 @@ def run_audit(seed: int = 0) -> list:
     w = rng.standard_normal(2 * 4 * 1 * 2)
     check("conv_relu_pool", lambda: _scalarize(T.conv_relu_pool(xk, wk, bk), w), [xk, wk, bk])
 
-    # Two shards of two rows each, with the floor lowered so that a tiny batch
-    # shards (one shard where OpenBLAS cannot be parked or there is one core).
+    # Two shards of two rows each.
     xb, wb, bb = _param(rng, (4, 3)), _param(rng, (3, 2)), _param(rng, (2,))
     w = rng.standard_normal(8)
     shard = lambda xs, ls: T.sigmoid(T.linear(xs, ls["w"], ls["b"]))
-    floor, T.MIN_SHARD_VALUES = T.MIN_SHARD_VALUES, 1
-    try:
-        check("batch_parallel",
-              lambda: _scalarize(T.batch_parallel(shard, xb, {"w": wb, "b": bb}), w), [xb, wb, bb])
-    finally:
-        T.MIN_SHARD_VALUES = floor
+    check("batch_parallel",
+          lambda: _scalarize(T.batch_parallel(shard, xb, {"w": wb, "b": bb}, 2), w), [xb, wb, bb])
 
     results.append(model_audit(seed))
     return results

@@ -208,9 +208,9 @@ def cmd_eval(args) -> int:
         cfg = {"manifest": args.manifest, "checkpoint": args.checkpoint}
         seed = params.seed
     else:
-        # Accept a full training config so the same file drives both
-        # commands, and score the held-out task that `train` evaluates on.
-        full = _merge_config(args, _EXPERIMENT_DEFAULTS)
+        # Accept a full training config so the same file drives both commands, and
+        # score the held-out task that `train` evaluates on, at the checkpoint's seed.
+        full = _merge_config(args, dict(_EXPERIMENT_DEFAULTS, seed=params.seed))
         cfg = {k: full[k] for k in _EVAL_KEYS}
         seed = cfg["seed"]
         _, task, _, _ = _build_experiment(full)

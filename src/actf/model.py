@@ -160,10 +160,27 @@ def stpool(F: LowLevelFeature) -> Tensor:
     return T.mean(F.spatial_mean, (1,))
 
 
+# Least estimated multiply-adds of a shard of ``forward``'s batch. On 2 cores
+# (CHANGES.md has the sweep) a 16-video batch at the default dims (8.5M each)
+# ran fastest as two shards, and 128 videos of 4x16x16, C_out 8 (0.15M) as one.
+WORK_PER_SHARD = 48 << 20
+
+
+def video_work(dims: ModelDims, frames: int) -> int:
+    """Multiply-adds of one video in ``forward``'s shard plan: both backbone im2col
+    GEMMs (with the bias row) and two C_out x C_out moment GEMMs per pair location."""
+    h, w, c1, c = dims.height, dims.width, dims.conv1_channels, dims.out_channels
+    backbone = h * w * c1 * (9 * IN_CHANNELS + 1) + (h // 2) * (w // 2) * c * (9 * c1 + 1)
+    return frames * backbone + (frames - 1) * (h // 4) * (w // 4) * 2 * c * c
+
+
 def forward(videos: Tensor, params: ModelParams) -> Tensor:
     """Run a batch of videos (B, t, 3, H, W) through the variant's pipeline to logits (B, classes).
 
-    Large batches run as one shard per core (``tensor.batch_parallel``)."""
+    The batch runs as ``tensor.batch_parallel`` shards of at least
+    ``WORK_PER_SHARD`` of ``video_work`` each, at most B, and a power of two of
+    them to split evenly over 2, 4 or 8 cores. The plan follows only the batch
+    and the dims, so the result is the same at any core count."""
     d = params.dims
     if videos.data.ndim != 5 or videos.data.shape[2] != IN_CHANNELS:
         raise InputError(
@@ -197,7 +214,10 @@ def forward(videos: Tensor, params: ModelParams) -> Tensor:
             v = fuse_pair(v_actf, stpool(F), fusion_weights(t, "final_fusion"))
         return T.linear(v, t["clf.w"], t["clf.b"])
 
-    return T.batch_parallel(logits, videos, params.tensors)
+    n, frames = videos.data.shape[:2]
+    shards = max(1, min(n, n * video_work(d, frames) // WORK_PER_SHARD))
+    shards = 1 << (shards.bit_length() - 1)
+    return T.batch_parallel(logits, videos, params.tensors, shards)
 
 
 # Each variant, with the parameter groups (name prefixes in `named_tensors`)

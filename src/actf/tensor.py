@@ -16,13 +16,10 @@ The backward products of ``linear`` and ``matmul`` use ``np.dot``: at one row
 they are outer products, which ``@`` computes in its own loop and ``np.dot``
 through BLAS.
 
-The active tape is per thread. ``batch_parallel`` runs a function on one
-shard of a batch per core, each on a worker thread with its own tape, and
-records the whole as one primitive. For its parallel regions numpy's OpenBLAS
-is set to one thread and its idle pool is shut down: that pool spins for a
-tenth of a second after every threaded call, and while it spins a second
-Python thread gains nothing. Without an OpenBLAS that can be parked, every
-batch runs as one shard.
+The active tape is per thread. ``batch_parallel`` runs a function on as many
+shards of a batch as its caller asks for, each on a worker thread with its own
+tape, as one primitive: one per core with numpy's OpenBLAS parked where it can
+be, else one at a time, with the same result either way.
 
 On import, glibc's malloc is told to keep freed arrays up to 128 MiB on one
 heap and not to trim the heap top, so a training step reuses its memory
@@ -431,13 +428,6 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 # ---------------------------------------------------------------------------
 # data parallelism
 
-# Fewest input values per shard of ``batch_parallel``. Below about this many, a
-# shard's thread hand-offs and Python overhead cost more than its core gives
-# back. On 2 cores at the default dims, a training step on 16 videos (221184
-# values) took 23% less time on two shards, one on 2 videos 32% more
-# (CHANGES.md has the sweep).
-MIN_SHARD_VALUES = 1 << 16
-
 
 class _OpenBlas:
     """numpy's OpenBLAS, through the three calls that park its thread pool."""
@@ -451,26 +441,18 @@ class _OpenBlas:
         # One parked region at a time: two would each restore the other's count.
         self._lock = threading.Lock()
 
-    def run_parked(self, pool, jobs):
-        """Run each job on ``pool`` with OpenBLAS at one thread and its idle pool
-        shut down; the thread count is restored after, and the pool restarts on
-        the next threaded call. Returns the jobs' results, in order, or raises
-        the first job's exception once every job has ended."""
-        from concurrent.futures import wait
-
+    @contextlib.contextmanager
+    def parked(self):
+        """OpenBLAS at one thread with its idle pool shut down; the thread count
+        is restored after, and the pool restarts on the next threaded call."""
         with self._lock:
             threads = self.get_num_threads()
             self.set_num_threads(1)
             self._shutdown()
             try:
-                futures = [pool.submit(job) for job in jobs]
-                wait(futures)
+                yield
             finally:
                 self.set_num_threads(threads)
-        errors = [e for e in (f.exception() for f in futures) if e is not None]
-        if errors:
-            raise errors[0]
-        return [f.result() for f in futures]
 
 
 def _find_openblas():
@@ -499,47 +481,52 @@ def _find_openblas():
     return None
 
 
-# (OpenBLAS, thread pool, cores) once the first batch large enough to shard
-# has looked them up; False where OpenBLAS cannot be parked or there is one core.
 _SHARDING = None
 _SHARDING_LOCK = threading.Lock()
 
 
 def _sharding():
+    """The OpenBLAS to park, or None, and the pool that runs shards: one worker
+    per core where OpenBLAS can be parked, else one worker, so the shards run
+    in order. Both are looked up by the first batch that shards."""
     global _SHARDING
     with _SHARDING_LOCK:
         if _SHARDING is None:
+            from concurrent.futures import ThreadPoolExecutor
+
             blas = _find_openblas()
             cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-            if blas is None or cores < 2:
-                _SHARDING = False
-            else:
-                from concurrent.futures import ThreadPoolExecutor
-
-                pool = ThreadPoolExecutor(cores, thread_name_prefix="actf-shard")
-                _SHARDING = (blas, pool, cores)
+            _SHARDING = (blas, ThreadPoolExecutor(cores if blas else 1,
+                                                  thread_name_prefix="actf-shard"))
         return _SHARDING
 
 
-def batch_parallel(fn, x: Tensor, leaves: dict) -> Tensor:
-    """``fn(x, leaves)`` for a batch x (B, ...) and the dict of tensors ``fn`` reads,
-    run on contiguous shards of the batch, one per core, as one record.
+def _run_shards(jobs):
+    """Each job on the shard pool, with OpenBLAS parked where it is found: their
+    results in order, or the first failed job's exception once all have ended."""
+    from concurrent.futures import wait
 
-    There are min(cores, B, x.size // MIN_SHARD_VALUES) shards. Each runs on a
-    worker thread under the caller's numpy error state, with its own tape and
-    fresh leaf Tensors over the same arrays; ``fn`` returns one row per batch entry,
-    and the output is the shards' rows in order. The backward sweeps the shard
-    tapes in parallel. x's gradient is the shards' gradients in order, and a
-    leaf's is their sum in shard order, so a run is deterministic. With one
-    shard, ``fn(x, leaves)`` runs on the caller's thread and tape.
-    """
+    blas, pool = _sharding()
+    with blas.parked() if blas else contextlib.nullcontext():
+        futures = [pool.submit(job) for job in jobs]
+        wait(futures)
+    return [f.result() for f in futures]
+
+
+def batch_parallel(fn, x: Tensor, leaves: dict, shards: int) -> Tensor:
+    """``fn(x, leaves)`` for a batch x (B, ...) and the dict of tensors ``fn`` reads,
+    run on ``shards`` (at most B) contiguous shards of the batch as one record.
+
+    Each shard runs on a ``_sharding`` pool thread under the caller's numpy
+    error state, with its own tape and fresh leaf Tensors over the same arrays.
+    ``fn`` returns one row per batch entry; the output is the shards' rows in
+    order, x's gradient their gradients in order, and a leaf's gradient their
+    sum in shard order. So the shard count decides the result, and the core
+    count only how many shards run at once. With one shard, ``fn(x, leaves)``
+    runs on the caller's thread and tape."""
     n = x.data.shape[0]
-    shards = min(n, x.data.size // MIN_SHARD_VALUES)
-    sharding = _sharding() if shards > 1 else False
-    if not sharding:
+    if shards < 2:
         return fn(x, leaves)
-    blas, pool, cores = sharding
-    shards = min(shards, cores)
     spans = [(n * i // shards, n * (i + 1) // shards) for i in range(shards)]
     inputs = (x, *leaves.values())
     record = _recording(inputs)
@@ -551,7 +538,7 @@ def batch_parallel(fn, x: Tensor, leaves: dict) -> Tensor:
         with np.errstate(**errs), Tape() if record else contextlib.nullcontext() as tape:
             return fn(xs, ls), tape, (xs, *ls.values())
 
-    ran = blas.run_parked(pool, [functools.partial(run, *s) for s in spans])
+    ran = _run_shards([functools.partial(run, *s) for s in spans])
 
     def backward(g):
         nonlocal ran
@@ -562,16 +549,14 @@ def batch_parallel(fn, x: Tensor, leaves: dict) -> Tensor:
                 out.grad = g[lo:hi]
                 tape._sweep()
 
-        blas.run_parked(pool, [functools.partial(sweep, out, tape, *s)
-                               for (out, tape, _), s in zip(ran, spans)])
+        _run_shards([functools.partial(sweep, out, tape, *s)
+                     for (out, tape, _), s in zip(ran, spans)])
         grads = list(zip(*([t.grad for t in shard] for _, _, shard in ran)))
         ran = None
-        gx = None
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            for (lo, hi), part in zip(spans, grads[0]):
-                if part is not None:
-                    gx[lo:hi] = part
+        gx = np.zeros_like(x.data) if x.requires_grad else None
+        for (lo, hi), part in zip(spans, grads[0]):
+            if part is not None:
+                gx[lo:hi] = part
         return (gx, *(_sum_in_order([p for p in parts if p is not None]) for parts in grads[1:]))
 
     return apply_primitive(np.concatenate([out.data for out, _, _ in ran]), inputs, backward)

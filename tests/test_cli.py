@@ -178,6 +178,28 @@ def test_eval_scores_held_out_task(tmp_path, tiny_cfg, monkeypatch):
     assert eval_task.seed != train_task.seed
 
 
+def test_eval_seed_defaults_to_the_checkpoints(tmp_path, monkeypatch):
+    # trained with --seed 1 and a config without a seed, a bare eval scores
+    # the held-out task of seed 1, not the training set of seed 0 + 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({k: v for k, v in TINY.items() if k != "seed"}))
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 0
+    metrics = (out / "metrics.tsv").read_text().splitlines()
+    eval_acc = metrics[3].split("\t")[metrics[2].split("\t").index("eval_acc")]
+    generated = []
+    generate = D.generate
+    monkeypatch.setattr(D, "generate", lambda task: generated.append(task) or generate(task))
+    ev = tmp_path / "ev"
+    assert cli.main(["eval", "--config", str(cfg), "--checkpoint", str(out / "checkpoint.ckpt"),
+                     "--out", str(ev)]) == 0
+    _, eval_task, _, _ = cli._build_experiment({**cli._EXPERIMENT_DEFAULTS, **TINY, "seed": 1})
+    assert generated == [eval_task]
+    rows = [r.split("\t") for r in (ev / "per_class_accuracy.tsv").read_text().splitlines()[3:]]
+    correct, n = sum(int(r[2]) for r in rows), sum(int(r[1]) for r in rows)
+    assert f"{correct / n:.10g}" == eval_acc
+
+
 def test_eval_refuses_bad_checkpoint(tmp_path, tiny_cfg, capsys):
     out = str(tmp_path / "out")
     assert cli.main(["train", "--config", tiny_cfg, "--out", out]) == 0
