@@ -341,7 +341,8 @@ def load_checkpoint(path) -> ModelParams:
         if not np.isfinite(t.data).all():
             raise FormatError(f"at byte {start}: checkpoint tensor {name!r} holds non-finite values")
         # By size: older files store the reduction biases as (1, M) rows.
-        loaded[name] = t.data.reshape(shapes[name])
+        # Parameters are float64 however they were stored.
+        loaded[name] = t.data.reshape(shapes[name]).astype(np.float64)
     if offset != len(raw):
         raise FormatError(f"at byte {offset}: {len(raw) - offset} trailing bytes after the last tensor")
     tensors = {name: Tensor(loaded[name], requires_grad=True) for name in shapes}

@@ -1,6 +1,10 @@
-"""Dense float64 tensors with a minimal tape-based reverse-mode autodiff.
+"""Dense float tensors with a minimal tape-based reverse-mode autodiff.
 
-Tensors wrap row-major numpy arrays. Every differentiable primitive in this
+Tensors wrap row-major numpy arrays: float32 and float64 arrays as given,
+anything else widened to float64. Parameters, activations and gradients are
+float64; float32 holds only data read or generated at the file format's
+precision, such as a batch of videos, which the first backbone layer's
+float64 im2col matrix widens exactly. Every differentiable primitive in this
 module computes its forward value eagerly and, when a Tape is active and some
 input requires gradients, records a backward closure. ``Tape.backward`` replays
 the closures in exact reverse order of recording, accumulating cotangents into
@@ -77,12 +81,13 @@ _pin_malloc_thresholds()
 
 
 class Tensor:
-    """A dense f64 array with an optional accumulated-gradient buffer."""
+    """A dense float32 or float64 array with an optional accumulated-gradient buffer."""
 
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64, order="C")
+        data = np.asarray(data, order="C")
+        self.data = data if data.dtype.char in "fd" else data.astype(np.float64)
         self.grad = None
         self.requires_grad = requires_grad
 
@@ -553,7 +558,7 @@ def batch_parallel(fn, x: Tensor, leaves: dict, shards: int) -> Tensor:
                      for (out, tape, _), s in zip(ran, spans)])
         grads = list(zip(*([t.grad for t in shard] for _, _, shard in ran)))
         ran = None
-        gx = np.zeros_like(x.data) if x.requires_grad else None
+        gx = np.zeros(x.data.shape) if x.requires_grad else None
         for (lo, hi), part in zip(spans, grads[0]):
             if part is not None:
                 gx[lo:hi] = part

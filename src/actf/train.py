@@ -8,7 +8,9 @@ stable under batch-size changes.
 
 Datasets are lists of (video Tensor, label) pairs. ``fit`` and ``predict``
 stack one minibatch or chunk of videos at a time, never the whole list, so
-a step holds one batch of videos on top of the dataset itself.
+a step holds one batch of videos on top of the dataset itself. A batch keeps
+its samples' dtype, float32 from ``actf.data``; the model's first layer
+widens it to float64.
 """
 
 from __future__ import annotations

@@ -62,13 +62,15 @@ def _videos(n, seed=0):
 
 
 def _step(params, videos, labels):
-    """Logits and every parameter gradient of one taped step."""
+    """Logits and every gradient of one taped step: each parameter's by name,
+    and the videos' as "videos"."""
     for t in params.tensors.values():
         t.grad = None
+    x = T.Tensor(videos, requires_grad=True)
     with T.Tape() as tape:
-        logits = M.forward(T.Tensor(videos), params)
+        logits = M.forward(x, params)
         tape.backward(T.cross_entropy(logits, labels))
-    return logits.data, {name: t.grad for name, t in params.tensors.items()}
+    return logits.data, {"videos": x.grad, **{name: t.grad for name, t in params.tensors.items()}}
 
 
 def _rel(a, b):
@@ -170,6 +172,26 @@ def test_shards_match_one_batch(variant, monkeypatch, layer_calls):
         assert (g1[name] is None) == (g2[name] is None), name
         if g1[name] is not None:
             assert _rel(g2[name], g1[name]) <= 1e-12, name
+
+
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_float32_videos_step_as_float64_ones(variant, monkeypatch, layer_calls):
+    # the first layer's float64 im2col widens a float32 batch exactly: its
+    # logits and gradients, the videos' too, are float64 and bit-identical,
+    # at one shard and two
+    params = M.init_params(DIMS, 3, variant)
+    videos, labels = _videos(4).astype(np.float32), np.array([0, 1, 2, 3])
+    for floor, frames in ((M.WORK_PER_SHARD, 4 * DIMS.frames), (TWO_OF_FOUR, 2 * DIMS.frames)):
+        monkeypatch.setattr(M, "WORK_PER_SHARD", floor)
+        layer_calls.clear()
+        z32, g32 = _step(params, videos, labels)
+        assert {n for _, n, _ in layer_calls} == {frames}
+        z64, g64 = _step(params, videos.astype(np.float64), labels)
+        assert z32.dtype == np.float64 and z32.tobytes() == z64.tobytes()
+        for name, g in g32.items():
+            assert (g is None) == (g64[name] is None), name
+            if g is not None:
+                assert g.dtype == np.float64 and g.tobytes() == g64[name].tobytes(), name
 
 
 def test_sharded_fit_is_deterministic(tmp_path, monkeypatch):

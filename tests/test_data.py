@@ -1,5 +1,6 @@
 """Synthetic video tasks and the binary tensor file format."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from actf import data as D
+from actf import model as M
+from actf import train as TR
 from actf._io import atomic_write_bytes
 from actf.errors import ConfigError, FormatError
 from actf.tensor import Tensor
@@ -72,6 +75,15 @@ class TestTasks:
     def test_mixed8_label_count(self):
         ds = D.generate(D.SyntheticTask(kind="mixed8", per_class=2, seed=7))
         assert sorted({l for _, l in ds}) == list(range(8))
+
+    def test_samples_are_rows_of_one_float32_array(self):
+        # one allocation per dataset: per-video arrays freed between float64
+        # temporaries leave gaps that the pinned heap keeps resident
+        ds = D.generate(D.SyntheticTask(kind="speed2", per_class=3, noise=0.1, seed=2))
+        block = ds[0][0].data.base
+        assert block.dtype == np.float32 and block.shape == (6,) + ds[0][0].data.shape
+        for i, (video, _) in enumerate(ds):
+            assert video.data.base is block and video.data.tobytes() == block[i].tobytes()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -178,6 +190,21 @@ class TestTensorFormat:
         y = D.read_tensor(path)
         np.testing.assert_array_equal(x.data, y.data)
 
+    def test_readers_return_owned_float32_arrays(self, tmp_path):
+        # the payload is copied out of the file's bytes: writing into a tensor
+        # that was read changes neither the buffer nor a later read
+        x = Tensor(np.arange(24.0).reshape(2, 3, 4))
+        raw = D.tensor_to_bytes(x)
+        buf = bytearray(raw)
+        path = tmp_path / "x.actf"
+        path.write_bytes(raw)
+        for y in (D.tensor_from_bytes(buf)[0], D.read_tensor(path)):
+            assert y.data.dtype == np.float32 and y.data.shape == (2, 3, 4)
+            assert y.data.flags.owndata and y.data.flags.writeable
+            y.data[...] = -1.0
+        assert bytes(buf) == raw
+        np.testing.assert_array_equal(D.read_tensor(path).data, x.data)
+
     @given(st.lists(st.integers(1, 5), min_size=1, max_size=4),
            st.integers(0, 2 ** 31))
     @settings(max_examples=40, deadline=None)
@@ -192,6 +219,8 @@ class TestTensorFormat:
 
 class TestDatasetFiles:
     def test_save_load_round_trip(self, tmp_path):
+        # samples are held at the file's precision, so a saved and reloaded
+        # dataset has the same bytes and trains the same float64 weights
         ds = D.generate(D.SyntheticTask(kind="speed2", per_class=2,
                                         noise=0.01, seed=10))
         manifest = D.save_dataset(tmp_path, ds)
@@ -199,8 +228,17 @@ class TestDatasetFiles:
         assert len(back) == len(ds)
         for (va, la), (vb, lb) in zip(ds, back):
             assert la == lb
-            np.testing.assert_array_equal(
-                va.data.astype(np.float32), vb.data.astype(np.float32))
+            assert va.data.dtype == vb.data.dtype == np.float32
+            assert va.data.tobytes() == vb.data.tobytes()
+        dims = M.ModelDims(frames=8, height=32, width=32, conv1_channels=3,
+                           out_channels=8, sketch_dim=32, n_classes=2)
+        digests = []
+        for samples in (ds, back):
+            params = M.init_params(dims, 0, "full")
+            TR.fit(params, samples, TR.TrainConfig(lr0=0.05, epochs=1, batch_size=2))
+            digests.append(hashlib.sha256(
+                b"".join(t.data.tobytes() for _, t in M.named_tensors(params))).hexdigest())
+        assert digests[0] == digests[1]
 
     def test_empty_manifest_rejected(self, tmp_path):
         manifest = tmp_path / "manifest.tsv"

@@ -196,6 +196,8 @@ class TestCheckpoint:
         for (na, ta), (nb, tb) in zip(M.named_tensors(p),
                                       M.named_tensors(q)):
             assert na == nb
+            # drawn, or widened from the file's 32-bit payload
+            assert ta.data.dtype == tb.data.dtype == np.float64, na
             np.testing.assert_array_equal(
                 ta.data.astype(np.float32), tb.data.astype(np.float32))
 

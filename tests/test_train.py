@@ -14,6 +14,7 @@ from actf import model as M
 from actf import train as TR
 from actf import data as D
 from actf.errors import ConfigError
+from actf import tensor as T
 from actf.tensor import Tensor
 
 
@@ -36,29 +37,55 @@ def traced_peak(fn) -> int:
 class TestStepMemory:
     """A step stacks one minibatch or chunk, never the whole dataset, so its
     peak does not grow with the dataset: ten times the samples add less than
-    one minibatch of videos. Stacking the dataset would add 15-16 MiB here."""
+    one minibatch of videos, 0.84 MiB of float32. Stacking the whole dataset
+    would add its other 144 videos, 7.6 MiB, before the first layer widened them.
+
+    Each batch runs as one shard: a sharded step's traced peak also follows
+    how its shard threads happen to interleave. Most of what a fit on 160 adds
+    is the parameter table (0.66 MiB): the first step replaces the weights
+    drawn before tracing began, so every later step counts them."""
 
     DIMS = M.ModelDims(frames=8, height=24, width=24, conv1_channels=8,
                        out_channels=64, sketch_dim=256, n_classes=4)
-    BATCH_BYTES = 16 * 8 * 3 * 24 * 24 * 8   # 16 float64 videos: 1.69 MiB
+    BATCH = 16   # the minibatch, and TR.EVAL_CHUNK
 
     @pytest.fixture(scope="class")
     def dataset(self):
         return D.generate(D.SyntheticTask(kind="direction4", per_class=40, height=24,
                                           width=24, noise=0.02, seed=1))
 
-    def test_fit_peak_independent_of_dataset_size(self, dataset):
-        cfg = TR.TrainConfig(epochs=1, batch_size=16, seed=0)
+    @pytest.fixture
+    def shard_counts(self, monkeypatch):
+        """Make a batch of BATCH videos one shard; the shard count of each forward."""
+        monkeypatch.setattr(M, "WORK_PER_SHARD",
+                            self.BATCH * M.video_work(self.DIMS, self.DIMS.frames) + 1)
+        shards, run = [], T.batch_parallel
+
+        def counted(fn, x, leaves, n):
+            shards.append(n)
+            return run(fn, x, leaves, n)
+
+        monkeypatch.setattr(T, "batch_parallel", counted)
+        return shards
+
+    def batch_bytes(self, dataset):
+        """One stacked minibatch, at the samples' own dtype."""
+        return self.BATCH * dataset[0][0].data.nbytes
+
+    def test_fit_peak_independent_of_dataset_size(self, dataset, shard_counts):
+        cfg = TR.TrainConfig(epochs=1, batch_size=self.BATCH, seed=0)
         peaks = []
         for n in (16, 160):
             p = M.init_params(self.DIMS, 0, "full")
             peaks.append(traced_peak(lambda: TR.fit(p, dataset[:n], cfg)))
-        assert peaks[1] - peaks[0] < self.BATCH_BYTES, peaks
+        assert set(shard_counts) == {1}
+        assert peaks[1] - peaks[0] < self.batch_bytes(dataset), peaks
 
-    def test_evaluate_peak_independent_of_dataset_size(self, dataset):
+    def test_evaluate_peak_independent_of_dataset_size(self, dataset, shard_counts):
         p = M.init_params(self.DIMS, 0, "full")
         small, large = (traced_peak(lambda: TR.evaluate(p, dataset[:n])) for n in (16, 160))
-        assert large - small < self.BATCH_BYTES, (small, large)
+        assert set(shard_counts) == {1}
+        assert large - small < self.batch_bytes(dataset), (small, large)
 
 
 class TestSchedule:
