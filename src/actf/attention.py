@@ -3,6 +3,11 @@
 The same mechanism serves three sites: temporal weights over frame-pair
 features, the pair-fusion scalars weighting the bilinear/mean features, and
 the final-fusion scalars weighting the temporal/spatial video vectors.
+
+Each site's squashing and weighting is one tape record with a hand-written
+backward: ``attention_weights`` turns pair logits into weights, and
+``fuse_pair`` splits two raw scalars and concatenates the weighted blocks.
+Both compute with the array formulas ``tensor.sigmoid`` and ``tensor.softmax``.
 """
 
 from __future__ import annotations
@@ -22,10 +27,21 @@ def init_temporal_attention(feat_dim: int, rng: np.random.Generator) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, size=(feat_dim, 1)), requires_grad=True)
 
 
-def attention_weights(logits: Tensor) -> Tensor:
+def attention_weights(logits: Tensor, total: float = 1.0) -> Tensor:
     """Attention weights from (B, t-1) pair logits: sigmoid, then a softmax
-    across the pairs of each video; each row non-negative, summing to 1."""
-    return T.softmax(T.sigmoid(logits))
+    across the pairs of each video, times ``total``; each row non-negative,
+    summing to ``total``. One record."""
+    if logits.data.ndim != 2 or logits.data.shape[1] < 1:
+        raise ShapeError(f"attention_weights: logits {logits.data.shape} are not (B, t-1 >= 1)")
+    s = T.sigmoid(logits.data)
+    alpha = T.softmax(s)
+
+    def backward(g):
+        g = g * total
+        gs = alpha * (g - np.sum(g * alpha, axis=-1, keepdims=True))
+        return (gs * s * (1.0 - s),)
+
+    return T.apply_primitive(alpha * total, (logits,), backward)
 
 
 def temporal_weights(maps: Tensor, proj: Tensor) -> Tensor:
@@ -65,19 +81,40 @@ def init_pair_fusion() -> PairFusionWeights:
     )
 
 
-def effective_weights(w: PairFusionWeights):
-    """The normalized (w_a, w_b) pair as scalar tensors.
+def _split(w: PairFusionWeights):
+    """The normalized (w_a, w_b) and the sigmoids (s_a, s_b) of the raw scalars, as floats.
 
     A two-way softmax is a sigmoid of the logit gap: softmax(a, b)[0] = sigmoid(a - b).
     """
-    sa, sb = T.sigmoid(w.raw_a), T.sigmoid(w.raw_b)
-    return T.sigmoid(T.sub(sa, sb)), T.sigmoid(T.sub(sb, sa))
+    sa, sb = T.sigmoid(np.array([w.raw_a.data, w.raw_b.data]))
+    wa, wb = T.sigmoid(np.array([sa - sb, sb - sa]))
+    return float(wa), float(wb), float(sa), float(sb)
+
+
+def effective_weights(w: PairFusionWeights):
+    """The normalized (w_a, w_b) pair, as 0-d Tensors of values: ``fuse_pair``
+    weights its blocks by the same split and records its gradient."""
+    wa, wb, _, _ = _split(w)
+    return Tensor(wa), Tensor(wb)
 
 
 def fuse_pair(a: Tensor, b: Tensor, w: PairFusionWeights) -> Tensor:
-    """Weighted channel concatenation: concat(w_a * a, w_b * b).
+    """Weighted channel concatenation: concat(w_a * a, w_b * b), one record.
 
     Accepts feature maps (..., C, H, W) or rows of vectors (N, C).
     """
-    wa, wb = effective_weights(w)
-    return T.concat_channels(T.scale(a, wa), T.scale(b, wb))
+    axis = T.channel_axis(a, b, "fuse_pair")
+    wa, wb, sa, sb = _split(w)
+    ad, bd = a.data, b.data
+    ca = ad.shape[axis]
+
+    def backward(g):
+        ga, gb = np.split(g, [ca], axis=axis)
+        gwa, gwb = float(np.sum(ga * ad)), float(np.sum(gb * bd))
+        # Back through w_a = sigmoid(s_a - s_b), w_b = sigmoid(s_b - s_a), s = sigmoid(raw).
+        gu = gwa * wa * (1.0 - wa) - gwb * wb * (1.0 - wb)
+        return (ga * wa if a.requires_grad else None, gb * wb if b.requires_grad else None,
+                np.asarray(gu * sa * (1.0 - sa)), np.asarray(-gu * sb * (1.0 - sb)))
+
+    out = np.concatenate([ad * wa, bd * wb], axis=axis)
+    return T.apply_primitive(out, (a, b, w.raw_a, w.raw_b), backward)

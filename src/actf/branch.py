@@ -8,9 +8,16 @@ uses only their means over space and pairs, so it never forms them:
     bilinear correlation B : maps (B, t-1, d, H, W); attention logits (B, t-1)
                              and the attended mean over pairs (B, d) come
                              from each video's second moments
-    pairwise mean        L : maps (B, t-1, C_out, H, W), pooled (B, t-1, C_out)
+    pairwise mean        L : maps (B, t-1, C_out, H, W); the mean over pairs
+                             (B, C_out) is one ``tensor.pair_mean`` of the
+                             frames' spatial means (B, t, C_out)
     fused, pooled over pairs: (B, d + C_out)
     output          v_actf : (B, C_out)
+
+Each attention site is one tape record (``attention.attention_weights`` for the
+pair weights, ``attention.fuse_pair`` for the fusion), as is the mean over pairs,
+and an unbatched feature is reshaped to a batch of one once: a single-clip
+``extract_actf`` records 15 ops.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ class LowLevelFeature:
     """
 
     tensor: Tensor
-    _mean: tuple = field(default=None, init=False, repr=False, compare=False)
+    _memo: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tensor.data.ndim not in (4, 5):
@@ -43,15 +50,27 @@ class LowLevelFeature:
         if self.frames < 2:
             raise InputError("LowLevelFeature needs at least 2 frames (one frame pair)")
 
+    def _once(self, name: str, make) -> Tensor:
+        """``make()``, taken once per feature array and active tape, then reused."""
+        data, tape = self.tensor.data, T.active_tape()
+        if self._memo is None or self._memo[0] is not data or self._memo[1] is not tape:
+            self._memo = data, tape, {}
+        made = self._memo[2]
+        if name not in made:
+            made[name] = make()
+        return made[name]
+
     @property
     def unbatched(self) -> bool:
         return self.tensor.data.ndim == 4
 
     @property
     def batch(self) -> Tensor:
-        """The feature as a (B, t, C, H, W) batch."""
+        """The feature as a (B, t, C, H, W) batch; an unbatched one is reshaped once."""
         x = self.tensor
-        return T.reshape(x, (1,) + x.data.shape) if self.unbatched else x
+        if not self.unbatched:
+            return x
+        return self._once("batch", lambda: T.reshape(x, (1,) + x.data.shape))
 
     @property
     def frames(self) -> int:
@@ -61,10 +80,7 @@ class LowLevelFeature:
     def spatial_mean(self) -> Tensor:
         """Each frame's mean over space, (B, t, C). The branch and the spatial pool
         share it: it is taken once per feature array and active tape."""
-        key = (self.tensor.data, T.active_tape())
-        if self._mean is None or any(a is not b for a, b in zip(self._mean[0], key)):
-            self._mean = key, T.mean(self.batch, (3, 4))
-        return self._mean[1]
+        return self._once("spatial_mean", lambda: T.mean(self.batch, (3, 4)))
 
 
 def init_reduction(in_dim: int, r1: int, r2: int, out_dim: int,
@@ -139,13 +155,11 @@ def extract_actf(F: LowLevelFeature, params: ActfParams,
     rows = T.reshape(T.transpose(x, (0, 1, 3, 4, 2)), (n, t, h * w, c))
     # The mean over pairs of the attended sketches: pair weights alpha / (t-1).
     if attend:
-        alpha = attention_weights(bilinear_logits(rows, params.attn, params.plan))
-        weights = T.scale(alpha, 1.0 / (t - 1))
+        weights = attention_weights(bilinear_logits(rows, params.attn, params.plan), 1.0 / (t - 1))
     else:
         weights = Tensor(np.full((n, t - 1), 1.0 / (t - 1)))
     iccf = weighted_bilinear(rows, weights, params.plan)
-    first, second = _frame_pairs(F.spatial_mean)
-    imf = T.mean(T.scale(T.add(first, second), 0.5), (1,))
+    imf = T.pair_mean(F.spatial_mean)
     if imf_weight_zero:
         h_cat = T.concat_channels(iccf, T.scale(imf, 0.0))
     elif attend:

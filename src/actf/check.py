@@ -16,7 +16,7 @@ from . import model as M
 from . import tensor as T
 from .tensor import Tape, Tensor
 from .sketch import bilinear_logits, compact_bilinear, make_plan, weighted_bilinear
-from .attention import PairFusionWeights, fuse_pair, temporal_weights
+from .attention import PairFusionWeights, attention_weights, fuse_pair, temporal_weights
 
 PRIMITIVE_TOL = 1e-4
 MODEL_TOL = 1e-3
@@ -104,18 +104,17 @@ def run_audit(seed: int = 0) -> list:
     y = _param(rng, (5, 5))
     w = rng.standard_normal(25)
     check("add", lambda: _scalarize(T.add(x, y), w), [x, y])
-    check("sub", lambda: _scalarize(T.sub(x, y), w), [x, y])
 
     s = Tensor(np.asarray(0.7), requires_grad=True)
     check("scale", lambda: _scalarize(T.scale(x, s), w), [x, s])
-    check("sigmoid", lambda: _scalarize(T.sigmoid(x), w), [x])
     # Keep relu inputs away from the kink at 0.
     xr = Tensor(np.where(np.abs(x.data) < 0.1, 0.5, x.data), requires_grad=True)
     check("relu", lambda: _scalarize(T.relu(xr), w), [xr])
 
     v = _param(rng, (2, 6))
     wv = rng.standard_normal(12)
-    check("softmax", lambda: _scalarize(T.softmax(v), wv), [v])
+    check("attention_weights", lambda: _scalarize(attention_weights(v), wv), [v])
+    check("attention_weights", lambda: _scalarize(attention_weights(v, 0.25), wv), [v])
     check("reshape", lambda: _scalarize(T.reshape(v, (3, 4)), wv), [v])
     check("transpose", lambda: _scalarize(T.transpose(v, (1, 0)), wv), [v])
 
@@ -130,6 +129,11 @@ def run_audit(seed: int = 0) -> list:
     check("scale", lambda: _scalarize(T.scale(p5, alpha), w), [p5, alpha])
     w = rng.standard_normal(2 * 2)
     check("mean", lambda: _scalarize(T.mean(p5, (1, 3, 4)), w), [p5])
+    w = rng.standard_normal(2 * 2 * 4 * 4)
+    check("pair_mean", lambda: _scalarize(T.pair_mean(p5), w), [p5])
+    pm = _param(rng, (2, 2, 5))
+    w = rng.standard_normal(2 * 5)
+    check("pair_mean", lambda: _scalarize(T.pair_mean(pm), w), [pm])
 
     # Integer images and kernels with half-integer biases keep every
     # pre-activation at least 0.5 from the ReLU kink.
@@ -188,6 +192,10 @@ def run_audit(seed: int = 0) -> list:
     check("fuse_pair",
           lambda: _scalarize(fuse_pair(fa, fb, fw), w),
           [fa, fb, fw.raw_a, fw.raw_b])
+    w = rng.standard_normal(p5.data.size + q5.data.size)
+    check("fuse_pair",
+          lambda: _scalarize(fuse_pair(p5, q5, fw), w),
+          [p5, q5, fw.raw_a, fw.raw_b])
 
     # One row or one column: each weight gradient is an outer product.
     x1, w1, b1 = _param(rng, (1, 4)), _param(rng, (4, 2)), _param(rng, (2,))
@@ -205,7 +213,7 @@ def run_audit(seed: int = 0) -> list:
     # Two shards of two rows each.
     xb, wb, bb = _param(rng, (4, 3)), _param(rng, (3, 2)), _param(rng, (2,))
     w = rng.standard_normal(8)
-    shard = lambda xs, ls: T.sigmoid(T.linear(xs, ls["w"], ls["b"]))
+    shard = lambda xs, ls: attention_weights(T.linear(xs, ls["w"], ls["b"]))
     check("batch_parallel",
           lambda: _scalarize(T.batch_parallel(shard, xb, {"w": wb, "b": bb}, 2), w), [xb, wb, bb])
 

@@ -12,10 +12,14 @@ the closures in exact reverse order of recording, accumulating cotangents into
 
 Broadcasting is deliberately limited to weights over leading axes (``scale``)
 and per-row biases (``linear``); other mismatched shapes raise ShapeError.
+``sigmoid`` and ``softmax`` are formulas on arrays, not primitives: the fused
+attention primitives of ``actf.attention`` compute with them.
 
 A backbone layer is one fused primitive, ``conv_relu_pool``: one GEMM on an im2col
 matrix with a ones row adds its bias and pool quarter. One 0/1 pooling matrix serves
-both ways: a GEMM with it pools, and one with its transpose upsamples the cotangent.
+both ways: a GEMM with it pools, and one with its transpose upsamples the cotangent;
+both are built once per image width. ``pair_mean``, the mean of the consecutive
+frame pairs' means, is one contraction of the frame axis.
 The backward products of ``linear`` and ``matmul`` use ``np.dot``: at one row
 they are outer products, which ``@`` computes in its own loop and ``np.dot``
 through BLAS.
@@ -186,11 +190,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return apply_primitive(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "sub")
-    return apply_primitive(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
 def scale(x: Tensor, s) -> Tensor:
     """Multiply x by a weight: a float, or a Tensor shaped like x's leading
     axes, so that a 0-d weight scales all of x and a (B, P) one each x[i, j]."""
@@ -210,20 +209,20 @@ def relu(x: Tensor) -> Tensor:
     return apply_primitive(np.maximum(x.data, 0.0), (x,), lambda g: (g * mask,))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    # 1 / (1 + e^-x) as exp(-log(1 + e^-x)) in one expression, with no mask:
-    # logaddexp never overflows, so both tails stay finite, and sigmoid(0) = 0.5.
-    y = np.exp(-np.logaddexp(0.0, -x.data))
-    return apply_primitive(y, (x,), lambda g: (g * y * (1.0 - y),))
+# ---------------------------------------------------------------------------
+# formulas on arrays, shared by the attention primitives
 
 
-def softmax(x: Tensor) -> Tensor:
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x) elementwise, as exp(-log(1 + e^-x)) in one expression, with
+    no mask: logaddexp never overflows, so both tails stay finite, and sigmoid(0) = 0.5."""
+    return np.exp(-np.logaddexp(0.0, -x))
+
+
+def softmax(x: np.ndarray) -> np.ndarray:
     """Max-shifted softmax over the last axis (each row of a matrix separately)."""
-    if x.data.ndim not in (1, 2) or x.data.shape[-1] < 1:
-        raise ShapeError(f"softmax: expected non-empty rows, got shape {x.data.shape}")
-    z = np.exp(x.data - np.max(x.data, axis=-1, keepdims=True))
-    y = z / np.sum(z, axis=-1, keepdims=True)
-    return apply_primitive(y, (x,), lambda g: (y * (g - np.sum(g * y, axis=-1, keepdims=True)),))
+    z = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return z / np.sum(z, axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +282,23 @@ def frame_slice(x: Tensor, start: int, stop: int) -> Tensor:
     return apply_primitive(x.data[:, start:stop], (x,), backward)
 
 
-def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate along the channel axis: axis -3 of feature maps (..., C, H, W),
-    the last axis of vectors (C,) and rows of vectors (N, C)."""
+def channel_axis(a: Tensor, b: Tensor, opname: str) -> int:
+    """The channel axis along which a and b concatenate: axis -3 of feature maps
+    (..., C, H, W), the last axis of vectors (C,) and rows of vectors (N, C).
+    Raises ShapeError unless every other extent agrees."""
     if a.data.ndim != b.data.ndim:
-        raise ShapeError(f"concat_channels: rank mismatch {a.data.shape} vs {b.data.shape}")
+        raise ShapeError(f"{opname}: rank mismatch {a.data.shape} vs {b.data.shape}")
     axis = -1 if a.data.ndim <= 2 else -3
     rest_a, rest_b = list(a.data.shape), list(b.data.shape)
     del rest_a[axis], rest_b[axis]
     if rest_a != rest_b:
-        raise ShapeError(
-            f"concat_channels: non-channel extents differ: {a.data.shape} vs {b.data.shape}"
-        )
+        raise ShapeError(f"{opname}: non-channel extents differ: {a.data.shape} vs {b.data.shape}")
+    return axis
+
+
+def concat_channels(a: Tensor, b: Tensor) -> Tensor:
+    """Concatenate a and b along their ``channel_axis``."""
+    axis = channel_axis(a, b, "concat_channels")
     ca = a.data.shape[axis]
     return apply_primitive(np.concatenate([a.data, b.data], axis=axis), (a, b),
                            lambda g: tuple(np.split(g, [ca], axis=axis)))
@@ -316,6 +320,32 @@ def mean(x: Tensor, axes) -> Tensor:
         return (np.broadcast_to(g.reshape(kept) / n, xshape),)
 
     return apply_primitive(np.einsum(x.data, range(x.data.ndim), rest) / n, (x,), backward)
+
+
+def pair_mean(x: Tensor) -> Tensor:
+    """The mean over the t-1 consecutive frame pairs of x (B, t, ...) of each
+    pair's mean: (B, ...). One record: the contraction of the frame axis with
+    the fixed weights (1/2, 1, ..., 1, 1/2) / (t-1)."""
+    t = x.data.shape[1] if x.data.ndim >= 2 else 0
+    if t < 2:
+        raise ShapeError(f"pair_mean: {x.data.shape} has no frame pair on axis 1")
+    w = np.full(t, 1.0 / (t - 1))
+    w[0] = w[-1] = 0.5 / (t - 1)
+    b, rest = x.data.shape[0], x.data.shape[2:]
+    out = np.matmul(w, x.data.reshape(b, t, math.prod(rest))).reshape((b,) + rest)
+    wg = w.reshape((1, t) + (1,) * len(rest))
+    return apply_primitive(out, (x,), lambda g: (g[:, None] * wg,))
+
+
+@functools.lru_cache(maxsize=None)
+def _pool_matrices(W: int):
+    """The (2W, W/2) 0/1 matrix that sums each 2x2 block of a row pair of width W,
+    and its transpose / 4, which spreads a cell's cotangent over its block. Both
+    are read-only and kept per width."""
+    pool = np.tile(np.kron(np.eye(W // 2), [[1.0], [1.0]]), (2, 1))
+    up = pool.T / 4
+    pool.flags.writeable = up.flags.writeable = False
+    return pool, up
 
 
 def _taps(kh: int, kw: int, H: int, W: int):
@@ -367,7 +397,7 @@ def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     np.maximum(y, 0.0, out=y)
     # Each row of y.reshape(-1, 2W) is image rows 2r, 2r + 1 of one (c, n): the
     # pool sums it into W/2 cells, and the backward spreads W/2 cells over it.
-    pool = np.tile(np.kron(np.eye(W // 2), [[1.0], [1.0]]), (2, 1))
+    pool, up = _pool_matrices(W)
     with np.errstate(invalid="ignore"):  # 0·inf, redone exactly below
         pooled = y.reshape(-1, 2 * W) @ pool
     if not np.isfinite(pooled.sum()):
@@ -383,7 +413,7 @@ def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         # The tape runs each backward once: the mask and im2col are freed as soon
         # as they are used, so col2im's buffer does not sit on top of them.
         nonlocal cols, mask
-        gy = (g.transpose(1, 0, 2, 3).reshape(-1, W // 2) @ (pool.T / 4)).reshape(Cout, -1)
+        gy = (g.transpose(1, 0, 2, 3).reshape(-1, W // 2) @ up).reshape(Cout, -1)
         gy *= mask
         mask = None
         gwb = (cols @ gy.T).T  # OpenBLAS: about twice as fast as gy @ cols.T for 8 rows

@@ -57,7 +57,9 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 
 
 class SgdOptimizer:
-    """Momentum SGD over a fixed registry of (name, tensor, decay?) triples."""
+    """Momentum SGD over a fixed registry of (name, tensor, decay?) triples.
+
+    Each step updates the parameter and velocity arrays in place."""
 
     def __init__(self, parameters, cfg: TrainConfig):
         self.parameters = list(parameters)
@@ -76,7 +78,7 @@ class SgdOptimizer:
             v = self.velocity[name]
             v *= self.cfg.momentum
             v += g
-            t.data = np.asarray(t.data - lr * v)
+            t.data -= lr * v
             t.grad = None
 
 

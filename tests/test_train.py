@@ -41,9 +41,8 @@ class TestStepMemory:
     would add its other 144 videos, 7.6 MiB, before the first layer widened them.
 
     Each batch runs as one shard: a sharded step's traced peak also follows
-    how its shard threads happen to interleave. Most of what a fit on 160 adds
-    is the parameter table (0.66 MiB): the first step replaces the weights
-    drawn before tracing began, so every later step counts them."""
+    how its shard threads happen to interleave. The optimizer updates the
+    weights in place, so a fit on 160 adds almost nothing to one on 16."""
 
     DIMS = M.ModelDims(frames=8, height=24, width=24, conv1_channels=8,
                        out_channels=64, sketch_dim=256, n_classes=4)
@@ -163,6 +162,34 @@ class TestOptimizer:
         opt.step(1.0)
         assert float(a.data) == pytest.approx(2.0 - 0.01 * 2.0, abs=1e-15)
         assert float(b.data) == 2.0
+
+    def test_steps_in_place_with_the_same_float_ops(self, monkeypatch):
+        # every parameter array is updated where it lies, to the bits that a
+        # step which allocates each new value gives
+        ds = D.generate(D.SyntheticTask(kind="direction4", per_class=3,
+                                        height=24, width=24, seed=2))
+        dims = M.ModelDims(frames=8, height=24, width=24, conv1_channels=3,
+                           out_channels=8, sketch_dim=32, n_classes=4)
+        cfg = TR.TrainConfig(lr0=0.05, epochs=2, batch_size=4, seed=0)
+        p = M.init_params(dims, 0, "full")
+        arrays = {n: t.data for n, t in M.named_tensors(p)}
+        TR.fit(p, ds, cfg)
+        assert all(t.data is arrays[n] for n, t in M.named_tensors(p))
+
+        def allocating_step(self, lr):
+            for name, t, decay in self.parameters:
+                g = t.grad + self.cfg.weight_decay * t.data if decay else t.grad
+                v = self.velocity[name]
+                v *= self.cfg.momentum
+                v += g
+                t.data = np.asarray(t.data - lr * v)
+                t.grad = None
+
+        monkeypatch.setattr(TR.SgdOptimizer, "step", allocating_step)
+        q = M.init_params(dims, 0, "full")
+        TR.fit(q, ds, cfg)
+        for (name, a), (_, b) in zip(M.named_tensors(p), M.named_tensors(q)):
+            assert a.data.tobytes() == b.data.tobytes(), name
 
     def test_missing_grad_names_parameter(self):
         p = M.init_params(tiny_dims(), 0, "full")
