@@ -9,11 +9,14 @@ uses only their means over space and pairs, so it never forms them:
                              and the attended mean over pairs (B, d) come
                              from each video's second moments
     pairwise mean        L : maps (B, t-1, C_out, H, W); the mean over pairs
-                             (B, C_out) is one ``tensor.pair_mean`` of the
+                             (B, C_out) is one ``tensor.mix_frames`` of the
                              frames' spatial means (B, t, C_out)
     fused, pooled over pairs: (B, d + C_out)
     output          v_actf : (B, C_out)
 
+``pair_maps`` holds the one definition of the frame pairs: the fixed maps of
+the frame axis onto each pair's leading frame, trailing frame and mean (the
+IMF), and the IMF's mean over pairs, each applied by ``tensor.mix_frames``.
 Each attention site is one tape record (``attention.attention_weights`` for the
 pair weights, ``attention.fuse_pair`` for the fusion), as is the mean over pairs,
 and an unbatched feature is reshaped to a batch of one once: a single-clip
@@ -22,6 +25,7 @@ and an unbatched feature is reshaped to a batch of one once: a single-clip
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,10 +119,22 @@ class ActfParams:
     reduction: dict            # {"w1", "b1", ..., "b3"} of ``init_reduction``
 
 
-def _frame_pairs(x: Tensor):
-    """The leading and trailing frames of every consecutive pair of x (B, t, ...)."""
-    t = x.data.shape[1]
-    return T.frame_slice(x, 0, t - 1), T.frame_slice(x, 1, t)
+@functools.lru_cache(maxsize=None)
+def pair_maps(t: int):
+    """The fixed maps of the frame axis onto its t-1 consecutive pairs, for
+    ``tensor.mix_frames``: each pair's leading frame, its trailing frame and
+    their mean, the IMF, as (t-1, t) matrices, and the IMF's mean over pairs,
+    (1/2, 1, ..., 1, 1/2) / (t-1), as a (t,) vector. Read-only, kept per t.
+
+    A frame enters every pair's map, most at weight 0, so a non-finite frame
+    makes every pair's map NaN (0·inf)."""
+    eye = np.eye(t)
+    lead, trail = eye[:-1], eye[1:]
+    imf = (lead + trail) / 2
+    maps = lead, trail, imf, imf.mean(axis=0)
+    for m in maps:
+        m.flags.writeable = False
+    return maps
 
 
 def extract_iccf(F: LowLevelFeature, plan: SketchPlan, attn: Tensor) -> Tensor:
@@ -126,18 +142,18 @@ def extract_iccf(F: LowLevelFeature, plan: SketchPlan, attn: Tensor) -> Tensor:
     by its temporal attention weight."""
     x = F.batch
     n, t, c, h, w = x.data.shape
+    lead, trail, _, _ = pair_maps(t)
     # Every pair at every location goes through the sketch as one (B*(t-1)*H*W, C) batch.
-    rows = lambda f: T.reshape(T.transpose(f, (0, 1, 3, 4, 2)), (-1, c))
-    first, second = _frame_pairs(x)
-    cb = compact_bilinear(rows(first), rows(second), plan)
+    rows = lambda m: T.reshape(T.transpose(T.mix_frames(x, m), (0, 1, 3, 4, 2)), (-1, c))
+    cb = compact_bilinear(rows(lead), rows(trail), plan)
     b = T.transpose(T.reshape(cb, (n, t - 1, h, w, plan.output_dim)), (0, 1, 4, 2, 3))
     return T.scale(b, temporal_weights(b, attn))
 
 
 def extract_imf(F: LowLevelFeature) -> Tensor:
     """Mean of each consecutive frame pair: (B, t-1, C, H, W)."""
-    first, second = _frame_pairs(F.batch)
-    return T.scale(T.add(first, second), 0.5)
+    _, _, imf, _ = pair_maps(F.frames)
+    return T.mix_frames(F.batch, imf)
 
 
 def extract_actf(F: LowLevelFeature, params: ActfParams,
@@ -146,8 +162,8 @@ def extract_actf(F: LowLevelFeature, params: ActfParams,
 
     Equals the reduced mean of the fused ``extract_iccf``/``extract_imf`` maps.
     ``imf_weight_zero`` forces the mean-feature fusion weight to 0 (correlation
-    only); ``attend`` off replaces every attentive concatenation with direct
-    concatenation at weight 1.
+    only): the mean features are a zero block, never computed. ``attend`` off
+    replaces every attentive concatenation with direct concatenation at weight 1.
     """
     x = F.batch
     n, t, c, h, w = x.data.shape
@@ -159,12 +175,10 @@ def extract_actf(F: LowLevelFeature, params: ActfParams,
     else:
         weights = Tensor(np.full((n, t - 1), 1.0 / (t - 1)))
     iccf = weighted_bilinear(rows, weights, params.plan)
-    imf = T.pair_mean(F.spatial_mean)
     if imf_weight_zero:
-        h_cat = T.concat_channels(iccf, T.scale(imf, 0.0))
-    elif attend:
-        h_cat = fuse_pair(iccf, imf, params.pair_fusion)
+        h_cat = T.concat_channels(iccf, Tensor(np.zeros((n, c))))
     else:
-        h_cat = T.concat_channels(iccf, imf)
+        imf = T.mix_frames(F.spatial_mean, pair_maps(t)[-1])
+        h_cat = fuse_pair(iccf, imf, params.pair_fusion) if attend else T.concat_channels(iccf, imf)
     v = reduction(h_cat, params.reduction)
     return T.reshape(v, v.data.shape[1:]) if F.unbatched else v

@@ -101,10 +101,7 @@ def run_audit(seed: int = 0) -> list:
     check("matmul", lambda: _scalarize(T.matmul(a, b), w), [a, b])
 
     x = _param(rng, (5, 5))
-    y = _param(rng, (5, 5))
     w = rng.standard_normal(25)
-    check("add", lambda: _scalarize(T.add(x, y), w), [x, y])
-
     s = Tensor(np.asarray(0.7), requires_grad=True)
     check("scale", lambda: _scalarize(T.scale(x, s), w), [x, s])
     # Keep relu inputs away from the kink at 0.
@@ -122,18 +119,17 @@ def run_audit(seed: int = 0) -> list:
     q5 = _param(rng, (2, 3, 5, 4, 4))
     w = rng.standard_normal(2 * 3 * 7 * 4 * 4)
     check("concat_channels", lambda: _scalarize(T.concat_channels(p5, q5), w), [p5, q5])
-    w = rng.standard_normal(2 * 2 * 2 * 4 * 4)
-    check("frame_slice", lambda: _scalarize(T.frame_slice(p5, 1, 3), w), [p5])
     alpha = _param(rng, (2, 3))
     w = rng.standard_normal(p5.data.size)
     check("scale", lambda: _scalarize(T.scale(p5, alpha), w), [p5, alpha])
     w = rng.standard_normal(2 * 2)
     check("mean", lambda: _scalarize(T.mean(p5, (1, 3, 4)), w), [p5])
-    w = rng.standard_normal(2 * 2 * 4 * 4)
-    check("pair_mean", lambda: _scalarize(T.pair_mean(p5), w), [p5])
-    pm = _param(rng, (2, 2, 5))
-    w = rng.standard_normal(2 * 5)
-    check("pair_mean", lambda: _scalarize(T.pair_mean(pm), w), [pm])
+    # The frame axis (3) mapped onto two outputs, or contracted by a vector.
+    mix = rng.standard_normal((2, 3))
+    w = rng.standard_normal(p5.data.size * 2 // 3)
+    check("mix_frames", lambda: _scalarize(T.mix_frames(p5, mix), w), [p5])
+    w = rng.standard_normal(p5.data.size // 3)
+    check("mix_frames", lambda: _scalarize(T.mix_frames(p5, mix[0]), w), [p5])
 
     # Integer images and kernels with half-integer biases keep every
     # pre-activation at least 0.5 from the ReLU kink.

@@ -18,8 +18,8 @@ attention primitives of ``actf.attention`` compute with them.
 A backbone layer is one fused primitive, ``conv_relu_pool``: one GEMM on an im2col
 matrix with a ones row adds its bias and pool quarter. One 0/1 pooling matrix serves
 both ways: a GEMM with it pools, and one with its transpose upsamples the cotangent;
-both are built once per image width. ``pair_mean``, the mean of the consecutive
-frame pairs' means, is one contraction of the frame axis.
+both are built once per image width. ``mix_frames`` maps the frame axis by a
+fixed matrix or vector, such as the branch's frame-pair maps, in one matmul.
 The backward products of ``linear`` and ``matmul`` use ``np.dot``: at one row
 they are outer products, which ``@`` computes in its own loop and ``np.dot``
 through BLAS.
@@ -163,8 +163,9 @@ def apply_primitive(data, inputs, backward) -> Tensor:
 
     ``backward(out_grad)`` must return one gradient array (or None) per input,
     aligned with ``inputs`` and shaped like it. It must never write into
-    ``out_grad``: a cotangent may be shared with other tensors (``add`` hands
-    the same array to both inputs), and becomes an input's ``.grad`` as is.
+    ``out_grad``: a cotangent may be shared with other tensors
+    (``concat_channels`` hands its inputs views of it), and becomes an input's
+    ``.grad`` as is.
     The tape calls ``backward`` at most once, so it may drop state as it goes.
     Exposed so other modules (e.g. the sketch map) can define primitives with
     custom backward rules.
@@ -176,26 +177,13 @@ def apply_primitive(data, inputs, backward) -> Tensor:
     return out
 
 
-def _require_same_shape(a: Tensor, b: Tensor, opname: str) -> None:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"{opname}: shape mismatch {a.data.shape} vs {b.data.shape}")
-
-
 # ---------------------------------------------------------------------------
 # elementwise
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "add")
-    return apply_primitive(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def scale(x: Tensor, s) -> Tensor:
-    """Multiply x by a weight: a float, or a Tensor shaped like x's leading
-    axes, so that a 0-d weight scales all of x and a (B, P) one each x[i, j]."""
-    if not isinstance(s, Tensor):
-        sv = float(s)
-        return apply_primitive(x.data * sv, (x,), lambda g: (g * sv,))
+def scale(x: Tensor, s: Tensor) -> Tensor:
+    """Multiply x by a weight Tensor shaped like x's leading axes, so that a 0-d
+    weight scales all of x and a (B, P) one each x[i, j]."""
     xd, k = x.data, s.data.ndim
     if s.data.shape != xd.shape[:k]:
         raise ShapeError(f"scale: weight {s.data.shape} does not match leading axes of {xd.shape}")
@@ -268,20 +256,6 @@ def transpose(x: Tensor, axes) -> Tensor:
     return apply_primitive(np.transpose(x.data, axes), (x,), lambda g: (np.transpose(g, inv),))
 
 
-def frame_slice(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice [start:stop) along axis 1, the frame axis of (B, t, ...) tensors."""
-    if x.data.ndim < 2 or not 0 <= start < stop <= x.data.shape[1]:
-        raise ShapeError(f"frame_slice: [{start}:{stop}) invalid for axis 1 of {x.data.shape}")
-    xshape = x.data.shape
-
-    def backward(g):
-        gx = np.zeros(xshape)
-        gx[:, start:stop] = g
-        return (gx,)
-
-    return apply_primitive(x.data[:, start:stop], (x,), backward)
-
-
 def channel_axis(a: Tensor, b: Tensor, opname: str) -> int:
     """The channel axis along which a and b concatenate: axis -3 of feature maps
     (..., C, H, W), the last axis of vectors (C,) and rows of vectors (N, C).
@@ -322,19 +296,25 @@ def mean(x: Tensor, axes) -> Tensor:
     return apply_primitive(np.einsum(x.data, range(x.data.ndim), rest) / n, (x,), backward)
 
 
-def pair_mean(x: Tensor) -> Tensor:
-    """The mean over the t-1 consecutive frame pairs of x (B, t, ...) of each
-    pair's mean: (B, ...). One record: the contraction of the frame axis with
-    the fixed weights (1/2, 1, ..., 1, 1/2) / (t-1)."""
-    t = x.data.shape[1] if x.data.ndim >= 2 else 0
-    if t < 2:
-        raise ShapeError(f"pair_mean: {x.data.shape} has no frame pair on axis 1")
-    w = np.full(t, 1.0 / (t - 1))
-    w[0] = w[-1] = 0.5 / (t - 1)
-    b, rest = x.data.shape[0], x.data.shape[2:]
-    out = np.matmul(w, x.data.reshape(b, t, math.prod(rest))).reshape((b,) + rest)
-    wg = w.reshape((1, t) + (1,) * len(rest))
-    return apply_primitive(out, (x,), lambda g: (g[:, None] * wg,))
+def mix_frames(x: Tensor, w: np.ndarray) -> Tensor:
+    """x (B, t, ...) mapped over its frame axis by a fixed array w: a (p, t)
+    matrix gives (B, p, ...), a (t,) vector drops the axis, (B, ...). One matmul,
+    and its transpose backward. As in any product, a zero weight on a
+    non-finite frame gives NaN (0·inf)."""
+    xd = x.data
+    if xd.ndim < 2 or w.ndim not in (1, 2) or w.shape[-1] != xd.shape[1]:
+        raise ShapeError(f"mix_frames: weights {w.shape} do not map axis 1 of {xd.shape}")
+    b, t, rest = xd.shape[0], xd.shape[1], xd.shape[2:]
+    r = math.prod(rest)
+    out = np.matmul(w, xd.reshape(b, t, r)).reshape((b,) + w.shape[:-1] + rest)
+
+    def backward(g):
+        g = g.reshape(b, -1, r)
+        # A vector's outer product as a broadcast: at (8, 8, 64) it beats matmul.
+        gx = g * w[:, None] if w.ndim == 1 else np.matmul(w.T, g)
+        return (gx.reshape(xd.shape),)
+
+    return apply_primitive(out, (x,), backward)
 
 
 @functools.lru_cache(maxsize=None)

@@ -115,7 +115,39 @@ class TestIccf:
                                    atol=1e-12)
 
 
+class TestPairMaps:
+    def test_maps(self):
+        lead, trail, imf, pooled = B.pair_maps(4)
+        eye = np.eye(4)
+        np.testing.assert_array_equal(lead, eye[:3])
+        np.testing.assert_array_equal(trail, eye[1:])
+        np.testing.assert_array_equal(imf, (eye[:3] + eye[1:]) / 2)
+        np.testing.assert_array_equal(pooled, np.array([0.5, 1.0, 1.0, 0.5]) / 3)
+
+    def test_built_once_read_only(self):
+        maps = B.pair_maps(5)
+        assert B.pair_maps(5) is maps
+        assert not any(m.flags.writeable for m in maps)
+
+
 class TestImf:
+    def test_equals_sliced_pair_means(self):
+        # bit for bit numpy's pair means, and half of each pair's cotangent
+        # back on both of its frames
+        rng = np.random.default_rng(6)
+        x0 = rng.standard_normal((2, 5, 3, 2, 2))
+        g = rng.standard_normal((2, 4, 3, 2, 2))
+        x = t(x0, grad=True)
+        with T.Tape() as tape:
+            imf = B.extract_imf(B.LowLevelFeature(x))
+            tape.backward(T.reshape(T.matmul(T.reshape(imf, (1, g.size)),
+                                             t(g.reshape(-1, 1))), ()))
+        np.testing.assert_array_equal(imf.data, (x0[:, :-1] + x0[:, 1:]) * 0.5)
+        expect = np.zeros_like(x0)
+        expect[:, :-1] = g * 0.5
+        expect[:, 1:] += g * 0.5
+        np.testing.assert_array_equal(x.grad, expect)
+
     def test_time_constant(self):
         frame = np.random.default_rng(5).standard_normal((3, 4, 4))
         F = B.LowLevelFeature(t(np.stack([frame] * 6)))
@@ -229,10 +261,10 @@ class TestExtractActf:
         if attend:
             iccf = B.extract_iccf(F, p.plan, p.attn)
         else:   # a zero projection weights every pair 1/(t-1)
-            iccf = T.scale(B.extract_iccf(F, p.plan, t(np.zeros((8, 1)))), F.frames - 1)
+            iccf = T.scale(B.extract_iccf(F, p.plan, t(np.zeros((8, 1)))), t(F.frames - 1))
         imf = B.extract_imf(F)
         if kw.get("imf_weight_zero"):
-            h = T.concat_channels(iccf, T.scale(imf, 0.0))
+            h = T.concat_channels(iccf, T.scale(imf, t(0.0)))
         elif attend:
             h = A.fuse_pair(iccf, imf, p.pair_fusion)
         else:

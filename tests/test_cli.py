@@ -122,8 +122,15 @@ def test_train_zero_epochs_checkpoint_is_init(tmp_path, tiny_cfg):
                                       tb.data.astype(np.float32))
 
 
-def test_train_determinism_byte_identical(tmp_path, tiny_cfg):
-    outs = []
+def test_train_determinism_byte_identical(tmp_path, tiny_cfg, monkeypatch):
+    # the files, and the float64 weights that the 32-bit checkpoint rounds
+    outs, weights, save = [], [], M.save_checkpoint
+
+    def keep_weights(path, params):
+        weights.append({name: t.data.tobytes() for name, t in M.named_tensors(params)})
+        save(path, params)
+
+    monkeypatch.setattr(M, "save_checkpoint", keep_weights)
     for run in ("a", "b"):
         out = str(tmp_path / run)
         assert cli.main(["train", "--config", tiny_cfg, "--out", out]) == 0
@@ -132,6 +139,7 @@ def test_train_determinism_byte_identical(tmp_path, tiny_cfg):
         a = open(os.path.join(outs[0], name), "rb").read()
         b = open(os.path.join(outs[1], name), "rb").read()
         assert a == b, name
+    assert len(weights) == 2 and weights[0] == weights[1]
 
 
 def test_flag_overrides_config(tmp_path, tiny_cfg):

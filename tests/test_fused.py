@@ -32,8 +32,22 @@ def _sub(a, b):
     return T.apply_primitive(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
+def _add(a, b):
+    return T.apply_primitive(a.data + b.data, (a, b), lambda g: (g, g))
+
+
+def _frames(x, lo, hi):
+    """x[:, lo:hi], with the cotangent put back in place."""
+    def backward(g):
+        gx = np.zeros(x.data.shape)
+        gx[:, lo:hi] = g
+        return (gx,)
+
+    return T.apply_primitive(x.data[:, lo:hi], (x,), backward)
+
+
 def chain_attention_weights(logits, total=1.0):
-    return T.scale(_softmax(_sigmoid(logits)), total)
+    return T.scale(_softmax(_sigmoid(logits)), t(total))
 
 
 def chain_fuse_pair(a, b, w):
@@ -43,9 +57,10 @@ def chain_fuse_pair(a, b, w):
 
 
 def chain_pair_mean(x):
+    """The mean over pairs of each consecutive frame pair's mean."""
     frames = x.data.shape[1]
-    first, second = T.frame_slice(x, 0, frames - 1), T.frame_slice(x, 1, frames)
-    return T.mean(T.scale(T.add(first, second), 0.5), (1,))
+    first, second = _frames(x, 0, frames - 1), _frames(x, 1, frames)
+    return T.mean(T.scale(_add(first, second), t(0.5)), (1,))
 
 
 def _use_chains(monkeypatch):
@@ -54,7 +69,8 @@ def _use_chains(monkeypatch):
         monkeypatch.setattr(module, "attention_weights", chain_attention_weights)
     for module in (A, B, M):
         monkeypatch.setattr(module, "fuse_pair", chain_fuse_pair)
-    monkeypatch.setattr(T, "pair_mean", chain_pair_mean)
+    # A forward mixes frames only to pool the IMF over pairs.
+    monkeypatch.setattr(T, "mix_frames", lambda x, w: chain_pair_mean(x))
 
 
 def _assert_close(got, want):
@@ -110,8 +126,10 @@ class TestAgainstChains:
 
     @pytest.mark.parametrize("shape", [(1, 2, 3), (3, 8, 5), (2, 5, 3, 2, 2)])
     def test_pair_mean(self, shape):
+        # the IMF's mean over pairs, one frame mix
         x = t(np.random.default_rng(4).standard_normal(shape), grad=True)
-        _assert_same(T.pair_mean, chain_pair_mean, [x])
+        pooled = B.pair_maps(shape[1])[-1]
+        _assert_same(lambda x: T.mix_frames(x, pooled), chain_pair_mean, [x])
 
     @pytest.mark.parametrize("variant", M.VARIANTS)
     def test_forward(self, variant, monkeypatch):
@@ -152,14 +170,32 @@ class TestRecordCount:
         with T.Tape() as tape:
             v = B.extract_actf(B.LowLevelFeature(f), params.actf)
         assert v.data.shape == (64,)
-        assert len(tape._records) <= 16
+        assert len(tape._records) == 15
+
+    def test_imf_maps(self):
+        # the regional IMF of a batch is one record
+        f = t(np.random.default_rng(8).random((2, 5, 3, 2, 2)), grad=True)
+        with T.Tape() as tape:
+            B.extract_imf(B.LowLevelFeature(f))
+        assert len(tape._records) == 1
 
     def test_full_forward(self):
+        assert self._forward_records("full") == 19
+
+    def test_forward_per_variant(self):
+        # iccf-only never computes the IMF it zeroes, so it records no more than full
+        counts = {v: self._forward_records(v) for v in M.VARIANTS}
+        assert counts == {"full": 19, "single-actf": 17, "iccf-only": 18,
+                          "no-attn": 17, "spatial-only": 6}
+        assert counts["iccf-only"] <= counts["full"]
+
+    @staticmethod
+    def _forward_records(variant):
         dims = M.ModelDims(frames=4, height=16, width=16, conv1_channels=3,
                            out_channels=8, sketch_dim=32, n_classes=3)
-        params = M.init_params(dims, 0, "full")
+        params = M.init_params(dims, 0, variant)
         videos = t(np.random.default_rng(7).uniform(0, 1, (2, 4, 3, 16, 16)))
         with T.Tape() as tape:
             M.forward(videos, params)
         assert not any(fn.__qualname__.startswith("batch_parallel") for _, _, fn in tape._records)
-        assert len(tape._records) <= 20
+        return len(tape._records)

@@ -193,7 +193,17 @@ def _scalar_loss(out, w):
     return T.reshape(T.matmul(T.reshape(out, (1, n)), t(w.reshape(n, 1))), ())
 
 
-class TestPooledBilinear:
+def _frames(x, lo, hi):
+    """x[:, lo:hi], with the cotangent put back in place."""
+    def backward(g):
+        gx = np.zeros(x.data.shape)
+        gx[:, lo:hi] = g
+        return (gx,)
+
+    return T.apply_primitive(x.data[:, lo:hi], (x,), backward)
+
+
+class TestWeightedBilinear:
     """The two pooled primitives of the temporal branch: ``bilinear_logits``
     and ``weighted_bilinear`` over the consecutive frame pairs of (B, t, L, C)."""
 
@@ -217,7 +227,7 @@ class TestPooledBilinear:
         wz, ws = rng.standard_normal(b * p), rng.standard_normal(b * d)
 
         def pair_sketches(f, plan):
-            first, second = T.frame_slice(f, 0, p), T.frame_slice(f, 1, p + 1)
+            first, second = _frames(f, 0, p), _frames(f, 1, p + 1)
             return T.mean(S.compact_bilinear(first, second, plan), (2,))   # (B, P, d)
 
         def logits(f, proj, plan, pooled):
@@ -229,7 +239,7 @@ class TestPooledBilinear:
         def weighted(f, w, plan, pooled):
             if pooled:
                 return S.weighted_bilinear(f, w, plan)
-            return T.scale(T.mean(T.scale(pair_sketches(f, plan), w), (1,)), float(p))
+            return T.scale(T.mean(T.scale(pair_sketches(f, plan), w), (1,)), t(float(p)))
 
         for op, other0, wout in ((logits, proj0, wz), (weighted, w0, ws)):
             def run(pooled, plan=signed, sign=lambda x: x):

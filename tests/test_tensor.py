@@ -88,11 +88,7 @@ class TestElementwise:
 
     def test_scale_identity(self):
         x = t([1.5, -2.5])
-        np.testing.assert_array_equal(T.scale(x, 1.0).data, x.data)
-
-    def test_add_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            T.add(t([1.0]), t([1.0, 2.0]))
+        np.testing.assert_array_equal(T.scale(x, t(1.0)).data, x.data)
 
 
 class TestSigmoid:
@@ -445,24 +441,47 @@ class TestConv2d:
         assert rise < col2im_bytes, rise / 2 ** 20
 
 
-class TestFrameSlice:
-    def test_forward(self):
-        x = t(np.arange(48.0).reshape(2, 4, 3, 2))
-        out = T.frame_slice(x, 1, 3)
-        np.testing.assert_array_equal(out.data, x.data[:, 1:3])
-
-    def test_bad_range(self):
-        with pytest.raises(ShapeError):
-            T.frame_slice(t(np.zeros((1, 4, 2))), 2, 5)
-
-    def test_gradcheck(self):
+class TestMixFrames:
+    def test_selection_matches_slices(self):
+        # 0/1 rows pick frames: the value and the gradient are numpy's slice
+        # and the cotangent put back in place
         rng = np.random.default_rng(20)
+        x0, g = rng.standard_normal((2, 4, 3, 2)), rng.standard_normal((2, 2, 3, 2))
+        x = t(x0, grad=True)
+        out = taped(lambda: T.mix_frames(x, np.eye(4)[1:3]), g)
+        np.testing.assert_array_equal(out.data, x0[:, 1:3])
+        expect = np.zeros_like(x0)
+        expect[:, 1:3] = g
+        np.testing.assert_array_equal(x.grad, expect)
+
+    def test_vector_drops_frame_axis(self):
+        rng = np.random.default_rng(23)
+        x0, w = rng.standard_normal((3, 5, 2, 2)), rng.standard_normal(5)
+        g = rng.standard_normal((3, 2, 2))
+        x = t(x0, grad=True)
+        out = taped(lambda: T.mix_frames(x, w), g)
+        np.testing.assert_allclose(out.data, np.einsum("t,btij->bij", w, x0), rtol=1e-13)
+        np.testing.assert_array_equal(x.grad, w[None, :, None, None] * g[:, None])
+
+    def test_bad_weights(self):
+        x = t(np.zeros((1, 4, 2)))
+        for w in (np.ones(3), np.ones((2, 5)), np.ones((1, 2, 4))):
+            with pytest.raises(ShapeError, match="mix_frames"):
+                T.mix_frames(x, w)
+        with pytest.raises(ShapeError, match="mix_frames"):
+            T.mix_frames(t(np.zeros(4)), np.ones(4))
+
+    @pytest.mark.parametrize("w_shape", [(2, 5), (5,)], ids=["matrix", "vector"])
+    def test_gradcheck(self, w_shape):
+        rng = np.random.default_rng(21)
         x = t(rng.standard_normal((2, 5, 3)), grad=True)
-        proj = t(rng.standard_normal((18, 1)))
+        w = rng.standard_normal(w_shape)
+        n = T.mix_frames(x, w).data.size
+        proj = t(rng.standard_normal((n, 1)))
 
         def make_loss():
-            out = T.frame_slice(x, 1, 4)
-            return T.reshape(T.matmul(T.reshape(out, (1, 18)), proj), ())
+            out = T.mix_frames(x, w)
+            return T.reshape(T.matmul(T.reshape(out, (1, n)), proj), ())
 
         assert gradient_error(make_loss, [x]) < 1e-6
 
@@ -484,8 +503,8 @@ class TestScaleFrames:
                 T.scale(t(np.zeros(x_shape)), t(np.zeros(s_shape)))
 
     def test_weight_over_each_leading_rank(self):
-        # a float, a 0-d weight and weights over one or two leading axes all
-        # broadcast over the remaining axes; each weight's gradient has its shape
+        # a 0-d weight and weights over one or two leading axes all broadcast
+        # over the remaining axes; each weight's gradient has its shape
         rng = np.random.default_rng(22)
         x0 = rng.standard_normal((2, 3, 4))
         g = rng.standard_normal((2, 3, 4))
@@ -498,7 +517,6 @@ class TestScaleFrames:
             assert s.grad.shape == s0.shape and isinstance(s.grad, np.ndarray)
             np.testing.assert_allclose(s.grad, (g * x0).sum(axis=tuple(range(s0.ndim, 3))),
                                        rtol=1e-13)
-        np.testing.assert_array_equal(T.scale(t(x0), 1.5).data, x0 * 1.5)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(21)
@@ -548,22 +566,25 @@ class TestCrossEntropy:
 
 class TestTape:
     def test_backward_accumulates(self):
-        # both operands of add(x, x) are x: its two cotangents add up to 2
+        # both blocks of concat(x, x) are x: its two cotangents add up to 2
         x = t([2.0, 3.0], grad=True)
         with T.Tape() as tape:
-            y = T.add(x, x)
-            loss = T.reshape(T.matmul(T.reshape(y, (1, 2)), t([[1.0], [1.0]])), ())
+            y = T.concat_channels(x, x)
+            loss = T.reshape(T.matmul(T.reshape(y, (1, 4)), t(np.ones((4, 1)))), ())
             tape.backward(loss)
         np.testing.assert_allclose(x.grad, [2.0, 2.0])
 
     def test_shared_cotangent_stays_intact(self):
-        # add hands one cotangent array to both of its inputs; when a later
-        # contribution reaches one of them, the other's gradient is unchanged
+        # a primitive may hand one cotangent array to both of its inputs; when
+        # a later contribution reaches one of them, the other's gradient is unchanged
+        def add(a, b):
+            return T.apply_primitive(a.data + b.data, (a, b), lambda g: (g, g))
+
         a = t([1.0, 2.0], grad=True)
         b = t([3.0, 4.0], grad=True)
         w = t([[1.0], [10.0]])
         with T.Tape() as tape:
-            y = T.add(T.add(a, b), a)
+            y = add(add(a, b), a)
             tape.backward(T.reshape(T.matmul(T.reshape(y, (1, 2)), w), ()))
         np.testing.assert_array_equal(a.grad, [2.0, 20.0])
         np.testing.assert_array_equal(b.grad, [1.0, 10.0])
@@ -589,7 +610,7 @@ class TestTape:
     def test_backward_requires_scalar(self):
         x = t([1.0, 2.0], grad=True)
         with T.Tape() as tape:
-            y = T.add(x, x)
+            y = T.relu(x)
             with pytest.raises(ShapeError):
                 tape.backward(y)
 
@@ -609,6 +630,6 @@ class TestTape:
 
     def test_no_grad_outside_tape(self):
         x = t([1.0], grad=True)
-        y = T.add(x, x)
+        y = T.scale(x, t(2.0))
         assert y.data[0] == 2.0
         assert x.grad is None
