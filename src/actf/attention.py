@@ -4,10 +4,10 @@ The same mechanism serves three sites: temporal weights over frame-pair
 features, the pair-fusion scalars weighting the bilinear/mean features, and
 the final-fusion scalars weighting the temporal/spatial video vectors.
 
-Each site's squashing and weighting is one tape record with a hand-written
-backward: ``attention_weights`` turns pair logits into weights, and
-``fuse_pair`` splits two raw scalars and concatenates the weighted blocks.
-Both compute with the array formulas ``tensor.sigmoid`` and ``tensor.softmax``.
+Every site squashes by ``_squash``, softmax(sigmoid(logits)) over each row,
+and its backward, in one tape record: ``attention_weights`` turns pair logits
+into weights, and ``fuse_pair`` squashes its two raw scalars as one row and
+concatenates the weighted blocks.
 """
 
 from __future__ import annotations
@@ -27,21 +27,25 @@ def init_temporal_attention(feat_dim: int, rng: np.random.Generator) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, size=(feat_dim, 1)), requires_grad=True)
 
 
-def attention_weights(logits: Tensor, total: float = 1.0) -> Tensor:
-    """Attention weights from (B, t-1) pair logits: sigmoid, then a softmax
-    across the pairs of each video, times ``total``; each row non-negative,
-    summing to ``total``. One record."""
-    if logits.data.ndim != 2 or logits.data.shape[1] < 1:
-        raise ShapeError(f"attention_weights: logits {logits.data.shape} are not (B, t-1 >= 1)")
-    s = T.sigmoid(logits.data)
-    alpha = T.softmax(s)
+def _squash(logits: np.ndarray):
+    """softmax(sigmoid(logits)) over the last axis, and its backward from the weights' cotangent."""
+    s = T.sigmoid(logits)
+    weights = T.softmax(s)
 
     def backward(g):
-        g = g * total
-        gs = alpha * (g - np.sum(g * alpha, axis=-1, keepdims=True))
-        return (gs * s * (1.0 - s),)
+        gs = weights * (g - (g * weights).sum(axis=-1, keepdims=True))
+        return gs * s * (1.0 - s)
 
-    return T.apply_primitive(alpha * total, (logits,), backward)
+    return weights, backward
+
+
+def attention_weights(logits: Tensor) -> Tensor:
+    """Attention weights from (B, t-1) pair logits: sigmoid, then a softmax
+    across the pairs of each video; each row non-negative, summing to 1. One record."""
+    if logits.data.ndim != 2 or logits.data.shape[1] < 1:
+        raise ShapeError(f"attention_weights: logits {logits.data.shape} are not (B, t-1 >= 1)")
+    alpha, backward = _squash(logits.data)
+    return T.apply_primitive(alpha, (logits,), lambda g: (backward(g),))
 
 
 def temporal_weights(maps: Tensor, proj: Tensor) -> Tensor:
@@ -82,20 +86,16 @@ def init_pair_fusion() -> PairFusionWeights:
 
 
 def _split(w: PairFusionWeights):
-    """The normalized (w_a, w_b) and the sigmoids (s_a, s_b) of the raw scalars, as floats.
-
-    A two-way softmax is a sigmoid of the logit gap: softmax(a, b)[0] = sigmoid(a - b).
-    """
-    sa, sb = T.sigmoid(np.array([w.raw_a.data, w.raw_b.data]))
-    wa, wb = T.sigmoid(np.array([sa - sb, sb - sa]))
-    return float(wa), float(wb), float(sa), float(sb)
+    """The squash of the raw scalars as one row [[raw_a, raw_b]]: (w_a, w_b) as
+    floats, and the backward from their cotangent to the raw row."""
+    weights, backward = _squash(np.array([[w.raw_a.data, w.raw_b.data]]))
+    return weights[0].tolist(), backward
 
 
 def effective_weights(w: PairFusionWeights):
     """The normalized (w_a, w_b) pair, as 0-d Tensors of values: ``fuse_pair``
     weights its blocks by the same split and records its gradient."""
-    wa, wb, _, _ = _split(w)
-    return Tensor(wa), Tensor(wb)
+    return tuple(map(Tensor, _split(w)[0]))
 
 
 def fuse_pair(a: Tensor, b: Tensor, w: PairFusionWeights) -> Tensor:
@@ -104,17 +104,15 @@ def fuse_pair(a: Tensor, b: Tensor, w: PairFusionWeights) -> Tensor:
     Accepts feature maps (..., C, H, W) or rows of vectors (N, C).
     """
     axis = T.channel_axis(a, b, "fuse_pair")
-    wa, wb, sa, sb = _split(w)
+    (wa, wb), split_backward = _split(w)
     ad, bd = a.data, b.data
     ca = ad.shape[axis]
 
     def backward(g):
         ga, gb = np.split(g, [ca], axis=axis)
-        gwa, gwb = float(np.sum(ga * ad)), float(np.sum(gb * bd))
-        # Back through w_a = sigmoid(s_a - s_b), w_b = sigmoid(s_b - s_a), s = sigmoid(raw).
-        gu = gwa * wa * (1.0 - wa) - gwb * wb * (1.0 - wb)
+        graw = split_backward(np.array([[np.sum(ga * ad), np.sum(gb * bd)]]))[0]
         return (ga * wa if a.requires_grad else None, gb * wb if b.requires_grad else None,
-                np.asarray(gu * sa * (1.0 - sa)), np.asarray(-gu * sb * (1.0 - sb)))
+                np.asarray(graw[0]), np.asarray(graw[1]))
 
     out = np.concatenate([ad * wa, bd * wb], axis=axis)
     return T.apply_primitive(out, (a, b, w.raw_a, w.raw_b), backward)

@@ -6,8 +6,8 @@ Shapes, batch-first, with F of shape (B, t, C_out, H, W) and sketch dimension d.
 ``extract_iccf``/``extract_imf`` give the paper's regional maps; ``extract_actf``
 uses only their means over space and pairs, so it never forms them:
     bilinear correlation B : maps (B, t-1, d, H, W); attention logits (B, t-1)
-                             and the attended mean over pairs (B, d) come
-                             from each video's second moments
+                             and the alpha-weighted mean over pairs (B, d)
+                             come from each video's second moments
     pairwise mean        L : maps (B, t-1, C_out, H, W); the mean over pairs
                              (B, C_out) is one ``tensor.mix_frames`` of the
                              frames' spatial means (B, t, C_out)
@@ -18,8 +18,8 @@ uses only their means over space and pairs, so it never forms them:
 the frame axis onto each pair's leading frame, trailing frame and mean (the
 IMF), and the IMF's mean over pairs, each applied by ``tensor.mix_frames``.
 Each attention site is one tape record (``attention.attention_weights`` for the
-pair weights, ``attention.fuse_pair`` for the fusion), as is the mean over pairs,
-and an unbatched feature is reshaped to a batch of one once: a single-clip
+pair weights alpha, ``attention.fuse_pair`` for the fusion), as is each mean over
+pairs, and an unbatched feature is reshaped to a batch of one once: a single-clip
 ``extract_actf`` records 15 ops.
 """
 
@@ -169,11 +169,9 @@ def extract_actf(F: LowLevelFeature, params: ActfParams,
     n, t, c, h, w = x.data.shape
     # Each frame as H*W rows of C-vectors, (B, t, H*W, C).
     rows = T.reshape(T.transpose(x, (0, 1, 3, 4, 2)), (n, t, h * w, c))
-    # The mean over pairs of the attended sketches: pair weights alpha / (t-1).
-    if attend:
-        weights = attention_weights(bilinear_logits(rows, params.attn, params.plan), 1.0 / (t - 1))
-    else:
-        weights = Tensor(np.full((n, t - 1), 1.0 / (t - 1)))
+    # The mean over pairs of the sketches, each weighted by its attention weight.
+    weights = (attention_weights(bilinear_logits(rows, params.attn, params.plan)) if attend
+               else Tensor(np.ones((n, t - 1))))
     iccf = weighted_bilinear(rows, weights, params.plan)
     if imf_weight_zero:
         h_cat = T.concat_channels(iccf, Tensor(np.zeros((n, c))))

@@ -7,8 +7,10 @@ The hash/sign tables are frozen at plan creation and never trained.
 
 The map is linear in the outer product, so a weighted mean of sketches over
 locations and frame pairs is the sketch of the same mean of second moments.
-``bilinear_logits`` and ``weighted_bilinear`` use this to attend over a
-video's frame pairs and pool them with no pair ever sketched on its own.
+``bilinear_logits`` and ``weighted_bilinear`` attend over and pool a video's
+frame pairs this way, with no pair sketched on its own. They transpose one
+trilinear form, so each one's backward is the other's forward, and the pair
+contraction ``_contract`` and the video moment ``_moment`` build both.
 Entry (i, j) of an outer product has one bucket, (h1[i] + h2[j]) mod d, and
 one sign, s1[i] s2[j]; the plan's ``buckets`` table holds both, so these two
 apply the signs where they gather from or sum into the table.
@@ -126,26 +128,32 @@ def _signed_sum(m: np.ndarray, plan: SketchPlan) -> np.ndarray:
     return out[..., :plan.output_dim] - out[..., plan.output_dim:]
 
 
-def _per_pair(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Rows (B, P*L, C) with each pair's L rows times its weight w[b, p]."""
+def _contract(x: np.ndarray, y: np.ndarray, q: np.ndarray, p: int):
+    """Per pair of rows x, y (B, P*L, C): the sum over its L rows of x_l^T Q y_l,
+    (B, P), for one Q (C, C) or one per video (B, C, C); and the rows (Q y_l)^T."""
+    qy = y @ np.swapaxes(q, -1, -2)
+    return np.einsum("bpk,bpk->bp", x.reshape(len(x), p, -1), qy.reshape(len(x), p, -1)), qy
+
+
+def _moment(x: np.ndarray, y: np.ndarray, w: np.ndarray, plan: SketchPlan):
+    """Per video, the signed bucket sum (B, d) of the moment sum_p w_p sum_l x_l y_l^T
+    of rows x, y (B, P*L, C) and pair weights w (B, P), one GEMM; and the rows w_p x_l."""
     b, p = w.shape
-    return (rows.reshape(b, p, -1) * w[..., None]).reshape(rows.shape)
+    xw = (x.reshape(b, p, -1) * w[..., None]).reshape(x.shape)
+    return _signed_sum((xw.transpose(0, 2, 1) @ y).reshape(b, -1), plan), xw
 
 
-def _pair_dots(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    """Sum over each pair's L rows of the row dot products of u and v: (B, P)."""
-    b = u.shape[0]
-    return np.einsum("bpk,bpk->bp", u.reshape(b, p, -1), v.reshape(b, p, -1))
-
-
-def _frames_grad(lead: np.ndarray, rows: np.ndarray, m: np.ndarray, shape) -> np.ndarray:
-    """The gradient of frames (B, t, L, C): the (B, (t-1)*L, C) rows ``lead`` on
-    the leading frame of each pair, plus ``rows @ m`` on the trailing one."""
-    n = shape[2]
-    g = np.empty((shape[0], shape[1] * n, shape[3]))
-    np.matmul(rows, m, out=g[:, n:])
+def _frames_grad(qy: np.ndarray, xw: np.ndarray, q: np.ndarray, w: np.ndarray, shape):
+    """The gradient of frames (B, t, L, C) of sum_p w_p sum_l x_l^T Q y_l: qy of
+    ``_contract`` times w_p (in place: the tape runs a backward once) on each
+    pair's leading frame, plus xw of ``_moment`` times Q on its trailing one."""
+    b, t, n, c = shape
+    lead = qy.reshape(b, t - 1, -1)
+    lead *= w[..., None]
+    g = np.empty((b, t * n, c))
+    np.matmul(xw, q, out=g[:, n:])
     g[:, :n] = 0.0
-    g[:, :-n] += lead
+    g[:, :-n] += qy
     return g.reshape(shape)
 
 
@@ -153,11 +161,12 @@ def bilinear_logits(f: Tensor, proj: Tensor, plan: SketchPlan) -> Tensor:
     """Pair logits <proj, mean over l of compact_bilinear(f[b, p, l], f[b, p+1, l])>
     of frames (B, t, L, C): (B, t-1).
 
-    The sketch is linear in the outer product, so a logit is
+    The sketch is linear in the outer product, so a logit is the contraction
     sum_l x_l^T Q y_l / L with Q[i, j] = s1[i] s2[j] proj[(h1[i] + h2[j]) mod d],
     one (C, C) gather of proj through the signed buckets: one GEMM over all
-    B*(t-1)*L rows, and no pair is sketched. The projection's gradient is the
-    signed bucket sum of the cotangent-weighted second moment: one GEMM.
+    B*(t-1)*L rows, and no pair is sketched. The projection's gradient is
+    ``weighted_bilinear``'s forward with the cotangent as the weights: each
+    video's signed bucket sum of its moment, added over videos.
     """
     x, y = _pairs(f, plan, "bilinear_logits")
     if proj.data.shape != (plan.output_dim, 1):
@@ -166,43 +175,36 @@ def bilinear_logits(f: Tensor, proj: Tensor, plan: SketchPlan) -> Tensor:
         )
     b, t, n, c = f.data.shape
     q = _signed_take(proj.data[:, 0], plan).reshape(c, c)
-    yq = y @ q.T                                    # rows (q y_l)^T
+    z, qy = _contract(x, y, q, t - 1)
 
     def backward(g):
-        xg = _per_pair(x, g / n)
-        gq = np.tensordot(xg, y, axes=([0, 1], [0, 1]))
-        # The tape runs each backward once: yq becomes the leading frames' gradient.
-        lead = yq.reshape(b, t - 1, -1)
-        lead *= (g / n)[..., None]
-        return (_frames_grad(yq, xg, q, f.data.shape),
-                _signed_sum(gq.ravel(), plan)[:, None])
+        gproj, xg = _moment(x, y, g / n, plan)
+        return _frames_grad(qy, xg, q, g / n, f.data.shape), gproj.sum(axis=0)[:, None]
 
-    return apply_primitive(_pair_dots(x, yq, t - 1) / n, (f, proj), backward)
+    return apply_primitive(z / n, (f, proj), backward)
 
 
 def weighted_bilinear(f: Tensor, w: Tensor, plan: SketchPlan) -> Tensor:
-    """sum over p of w[b, p] * mean over l of compact_bilinear(f[b, p, l], f[b, p+1, l]),
-    for frames (B, t, L, C) and pair weights (B, t-1): (B, d).
+    """The w-weighted mean over pairs p and locations l of
+    compact_bilinear(f[b, p, l], f[b, p+1, l]), for frames (B, t, L, C) and
+    pair weights (B, t-1): (B, d). Weights of 1 give the plain mean.
 
     The sketch is linear in the outer product, so a video's output is the
-    signed bucket sum of one (C, C) moment sum_p w_p x_p y_p^T / L: one GEMM
-    per video, whose inner dimension is (t-1)*L, and no pair is sketched.
+    signed bucket sum of one (C, C) moment sum_p w_p x_p y_p^T / ((t-1) L): one
+    GEMM per video, whose inner dimension is (t-1)*L, and no pair is sketched.
     Backward gathers the cotangent through the signed buckets once per video
-    into G, then reuses G y for the gradients of the leading frames and weights.
+    into G, and the weights' gradient is ``bilinear_logits``' contraction with G.
     """
     x, y = _pairs(f, plan, "weighted_bilinear")
     b, t, n, c = f.data.shape
     if w.data.shape != (b, t - 1):
         raise ShapeError(f"weighted_bilinear: weights {w.data.shape} are not ({b}, {t - 1})")
-    xw = _per_pair(x, w.data / n)
-    m = xw.transpose(0, 2, 1) @ y
+    k = 1.0 / ((t - 1) * n)
+    out, xw = _moment(x, y, w.data * k, plan)
 
     def backward(g):
         gm = _signed_take(g, plan).reshape(b, c, c)
-        gy = y @ gm.transpose(0, 2, 1)              # rows (G y_l)^T
-        gw = _pair_dots(x, gy, t - 1) / n
-        lead = gy.reshape(b, t - 1, -1)
-        lead *= (w.data / n)[..., None]
-        return _frames_grad(gy, xw, gm, f.data.shape), gw
+        gw, gy = _contract(x, y, gm, t - 1)
+        return _frames_grad(gy, xw, gm, w.data * k, f.data.shape), gw * k
 
-    return apply_primitive(_signed_sum(m.reshape(b, c * c), plan), (f, w), backward)
+    return apply_primitive(out, (f, w), backward)

@@ -208,9 +208,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax over the last axis (each row of a matrix separately)."""
-    z = np.exp(x - np.max(x, axis=-1, keepdims=True))
-    return z / np.sum(z, axis=-1, keepdims=True)
+    """Max-shifted softmax over the last axis (each row of a matrix separately).
+    The array methods skip ``np.max``/``np.sum``'s dispatch: on the attention
+    sites' few-element rows that dispatch costs more than the arithmetic."""
+    z = np.exp(x - x.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +299,16 @@ def mean(x: Tensor, axes) -> Tensor:
 
 
 def mix_frames(x: Tensor, w: np.ndarray) -> Tensor:
-    """x (B, t, ...) mapped over its frame axis by a fixed array w: a (p, t)
-    matrix gives (B, p, ...), a (t,) vector drops the axis, (B, ...). One matmul,
-    and its transpose backward. As in any product, a zero weight on a
-    non-finite frame gives NaN (0·inf)."""
+    """x (B, t, ...) mapped over its frame axis by a fixed array w, applied in
+    x's dtype: a (p, t) matrix gives (B, p, ...), a (t,) vector drops the axis,
+    (B, ...). One matmul, and its transpose backward. As in any product, a zero
+    weight on a non-finite frame gives NaN (0·inf)."""
     xd = x.data
     if xd.ndim < 2 or w.ndim not in (1, 2) or w.shape[-1] != xd.shape[1]:
         raise ShapeError(f"mix_frames: weights {w.shape} do not map axis 1 of {xd.shape}")
     b, t, rest = xd.shape[0], xd.shape[1], xd.shape[2:]
     r = math.prod(rest)
+    w = w.astype(xd.dtype, copy=False)
     out = np.matmul(w, xd.reshape(b, t, r)).reshape((b,) + w.shape[:-1] + rest)
 
     def backward(g):
@@ -517,13 +520,15 @@ def _sharding():
 
 
 def _run_shards(jobs):
-    """Each job on the shard pool, with OpenBLAS parked where it is found: their
-    results in order, or the first failed job's exception once all have ended."""
+    """Each job on the shard pool under the caller's numpy error state, with
+    OpenBLAS parked where it is found: their results in order, or the first
+    failed job's exception once all have ended."""
     from concurrent.futures import wait
 
     blas, pool = _sharding()
+    errs = np.geterr()
     with blas.parked() if blas else contextlib.nullcontext():
-        futures = [pool.submit(job) for job in jobs]
+        futures = [pool.submit(np.errstate(**errs)(job)) for job in jobs]
         wait(futures)
     return [f.result() for f in futures]
 
@@ -545,24 +550,21 @@ def batch_parallel(fn, x: Tensor, leaves: dict, shards: int) -> Tensor:
     spans = [(n * i // shards, n * (i + 1) // shards) for i in range(shards)]
     inputs = (x, *leaves.values())
     record = _recording(inputs)
-    errs = np.geterr()
 
     def run(lo, hi):
         xs = Tensor(x.data[lo:hi], x.requires_grad)
         ls = {k: Tensor(v.data, v.requires_grad) for k, v in leaves.items()}
-        with np.errstate(**errs), Tape() if record else contextlib.nullcontext() as tape:
+        with Tape() if record else contextlib.nullcontext() as tape:
             return fn(xs, ls), tape, (xs, *ls.values())
 
     ran = _run_shards([functools.partial(run, *s) for s in spans])
 
     def backward(g):
         nonlocal ran
-        sweep_errs = np.geterr()
 
         def sweep(out, tape, lo, hi):
-            with np.errstate(**sweep_errs):
-                out.grad = g[lo:hi]
-                tape._sweep()
+            out.grad = g[lo:hi]
+            tape._sweep()
 
         _run_shards([functools.partial(sweep, out, tape, *s)
                      for (out, tape, _), s in zip(ran, spans)])

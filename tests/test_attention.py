@@ -162,6 +162,33 @@ class TestPairFusion:
         np.testing.assert_allclose(out[:, 3:], float(wb.data) * b.data,
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("raw", [(0.3, -1.1), (-1.3, 2.1), (-2.5, 0.8)])
+    def test_one_squash(self, raw):
+        # the split is attention_weights of the row [[raw_a, raw_b]], bit for
+        # bit, and fuse_pair's raw-scalar gradients are that row's gradient for
+        # the cotangent (sum g_a a, sum g_b b), as 0-d arrays
+        rng = np.random.default_rng(10)
+        w = A.PairFusionWeights(t(raw[0], grad=True), t(raw[1], grad=True))
+        row = t([raw], grad=True)
+        a, b = t(rng.standard_normal((2, 3))), t(rng.standard_normal((2, 4)))
+        g = rng.standard_normal(14)
+
+        def project(out, r):
+            n = out.data.size
+            return T.reshape(T.matmul(T.reshape(out, (1, n)), t(np.reshape(r, (n, 1)))), ())
+
+        with T.Tape() as tape:
+            tape.backward(project(A.fuse_pair(a, b, w), g))
+        g = g.reshape(2, 7)
+        with T.Tape() as tape:
+            alpha = A.attention_weights(row)
+            tape.backward(project(alpha, [np.sum(g[:, :3] * a.data), np.sum(g[:, 3:] * b.data)]))
+        wa, wb = A.effective_weights(w)
+        np.testing.assert_array_equal(np.array([wa.data, wb.data]), alpha.data[0])
+        for raw_x in (w.raw_a, w.raw_b):
+            assert type(raw_x.grad) is np.ndarray and raw_x.grad.shape == ()
+        np.testing.assert_array_equal(np.array([w.raw_a.grad, w.raw_b.grad]), row.grad[0])
+
     def test_gradient_flow(self):
         rng = np.random.default_rng(9)
         ra = t(0.3, grad=True)

@@ -219,6 +219,27 @@ def test_sharded_forward_raises_under_the_callers_errstate(monkeypatch, layer_ca
     assert any(thread is not threading.current_thread() for thread, _, _ in layer_calls)
 
 
+def test_sharded_backward_raises_under_the_callers_errstate():
+    # the forward is finite, but a shard's gradient of s sums its rows of x,
+    # two or four 1e308s: the sweep overflows on the thread that runs it, and
+    # raises only where the caller asks
+    x = T.Tensor(np.full((4, 1), 1e308))
+    s = T.Tensor(np.asarray(1e-300), requires_grad=True)
+
+    def step(shards):
+        s.grad = None
+        with T.Tape() as tape:
+            out = T.batch_parallel(lambda xs, ls: T.scale(xs, ls["s"]), x, {"s": s}, shards)
+            tape.backward(T.reshape(T.matmul(T.reshape(out, (1, 4)), T.Tensor(np.ones((4, 1)))), ()))
+
+    for shards in (1, 2):
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            step(shards)
+        with np.errstate(over="ignore"):
+            step(shards)
+        assert s.grad == np.inf
+
+
 @needs_openblas
 def test_openblas_threads_are_restored(monkeypatch, layer_calls):
     blas = T._sharding()[0]

@@ -148,6 +148,20 @@ class TestImf:
         expect[:, 1:] += g * 0.5
         np.testing.assert_array_equal(x.grad, expect)
 
+    def test_float32_stays_float32(self):
+        # the fixed maps apply in the feature's dtype: a float32 feature gets
+        # float32 values and, from a float32 cotangent, float32 gradients
+        x0 = np.random.default_rng(7).standard_normal((2, 4, 3, 2, 2)).astype(np.float32)
+        _, _, imf, pooled = B.pair_maps(4)
+        for op in (lambda x: T.mix_frames(x, imf), lambda x: T.mix_frames(x, pooled),
+                   lambda x: B.extract_imf(B.LowLevelFeature(x))):
+            x = T.Tensor(x0, requires_grad=True)
+            with T.Tape() as tape:
+                out = op(x)
+            out.grad = np.ones_like(out.data)
+            tape._sweep()
+            assert out.data.dtype == x.grad.dtype == np.float32
+
     def test_time_constant(self):
         frame = np.random.default_rng(5).standard_normal((3, 4, 4))
         F = B.LowLevelFeature(t(np.stack([frame] * 6)))

@@ -46,8 +46,8 @@ def _frames(x, lo, hi):
     return T.apply_primitive(x.data[:, lo:hi], (x,), backward)
 
 
-def chain_attention_weights(logits, total=1.0):
-    return T.scale(_softmax(_sigmoid(logits)), t(total))
+def chain_attention_weights(logits):
+    return _softmax(_sigmoid(logits))
 
 
 def chain_fuse_pair(a, b, w):
@@ -118,11 +118,9 @@ class TestAgainstChains:
                      lambda ra, rb: chain_fuse_pair(a, b, A.PairFusionWeights(ra, rb)), [ra, rb])
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (2, 4)])
-    @pytest.mark.parametrize("total", [1.0, 1.0 / 7])
-    def test_attention_weights(self, shape, total):
+    def test_attention_weights(self, shape):
         logits = t(np.random.default_rng(3).standard_normal(shape) * 3, grad=True)
-        _assert_same(lambda x: A.attention_weights(x, total),
-                     lambda x: chain_attention_weights(x, total), [logits])
+        _assert_same(A.attention_weights, chain_attention_weights, [logits])
 
     @pytest.mark.parametrize("shape", [(1, 2, 3), (3, 8, 5), (2, 5, 3, 2, 2)])
     def test_pair_mean(self, shape):

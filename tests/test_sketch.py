@@ -213,7 +213,7 @@ class TestWeightedBilinear:
     @settings(max_examples=60, deadline=None)
     def test_matches_mean_of_compact_bilinear(self, b, p, c, n, d, seed):
         # values and every input gradient equal those of the per-pair pooled
-        # sketches: <proj, sketch> for the logits, the w-weighted sum over
+        # sketches: <proj, sketch> for the logits, the w-weighted mean over
         # pairs for the other; P, L and C go down to 1
         signed = S.make_plan(c, d, seed=seed)
         # The same sums with every term made non-negative: absolute inputs and
@@ -239,7 +239,7 @@ class TestWeightedBilinear:
         def weighted(f, w, plan, pooled):
             if pooled:
                 return S.weighted_bilinear(f, w, plan)
-            return T.scale(T.mean(T.scale(pair_sketches(f, plan), w), (1,)), t(float(p)))
+            return T.mean(T.scale(pair_sketches(f, plan), w), (1,))
 
         for op, other0, wout in ((logits, proj0, wz), (weighted, w0, ws)):
             def run(pooled, plan=signed, sign=lambda x: x):
@@ -254,6 +254,18 @@ class TestWeightedBilinear:
                 assert got.shape == want.shape
                 scale = max(float(np.max(mag)), 1e-300)
                 assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("b, frames, n, c, d", [(1, 3, 1, 3, 5), (3, 5, 4, 6, 11)])
+    def test_adjoint_of_logits(self, b, frames, n, c, d):
+        # one trilinear form, transposed two ways:
+        # sum_b <proj, weighted_bilinear(f, w)_b> = sum_{b,p} w_bp logits_bp / (t-1)
+        plan = S.make_plan(c, d, seed=3)
+        rng = np.random.default_rng(4)
+        f = t(rng.standard_normal((b, frames, n, c)))
+        w, proj = rng.standard_normal((b, frames - 1)), rng.standard_normal((d, 1))
+        pooled = float(np.sum(S.weighted_bilinear(f, t(w), plan).data @ proj))
+        logits = float(np.sum(w * S.bilinear_logits(f, t(proj), plan).data)) / (frames - 1)
+        assert abs(pooled - logits) <= 1e-12 * abs(logits)
 
     def test_output_shape(self):
         plan = S.make_plan(4, 10, seed=1)
