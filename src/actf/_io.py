@@ -1,13 +1,15 @@
 """Atomic file writes: temp file in the target directory, then rename."""
 
 import os
-import tempfile
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+    # Created as open() creates a file, mode 0o666 less the umask, which the
+    # rename keeps; a unique name and O_EXCL stand in for mkstemp's forced 0o600.
+    tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)

@@ -236,8 +236,10 @@ def cmd_eval(args) -> int:
     preds = np.argmax(TR.predict(params, dataset), axis=1)
     per_class_n = np.bincount(labels, minlength=d.n_classes)
     per_class_correct = np.bincount(labels[preds == labels], minlength=d.n_classes)
+    # A variant whose forward never reads the final fusion has no split to report.
+    fused = any(n.startswith("final_fusion.") for n, _, _ in M.trainable_parameters(params))
     wa, wb = effective_weights(M.fusion_weights(params.tensors, "final_fusion"))
-    delta, epsilon = float(wa.data), float(wb.data)
+    delta, epsilon = (float(wa.data), float(wb.data)) if fused else (float("nan"),) * 2
     fusion_rows = [(i, int(y), int(p), delta, epsilon)
                    for i, (y, p) in enumerate(zip(labels, preds))]
     os.makedirs(args.out, exist_ok=True)
@@ -250,7 +252,7 @@ def cmd_eval(args) -> int:
     _write_table(os.path.join(args.out, "per_class_accuracy.tsv"), h, seed,
                  ("class", "n", "correct", "accuracy"), acc_rows)
     # delta/epsilon are the post-softmax fusion weights of the temporal and
-    # spatial video vectors, repeated per evaluated video.
+    # spatial video vectors, repeated per evaluated video; nan without the fusion.
     _write_table(os.path.join(args.out, "fusion_weights.tsv"), h, seed,
                  ("video", "label", "pred", "delta", "epsilon"), fusion_rows)
     print(f"eval accuracy={total_acc:.4f} over {per_class_n.sum()} samples -> {args.out}")
@@ -367,8 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int)
     p.set_defaults(fn=cmd_sketchbench)
 
+    # gradcheck reads no config file; --out is accepted for scripts that pass it.
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    _add_common(p)
+    p.add_argument("--seed", type=_seed, help="seed of the audit's draws (>= 0)")
+    p.add_argument("--out", help="unused: gradcheck writes no files")
     p.set_defaults(fn=cmd_gradcheck)
 
     return parser

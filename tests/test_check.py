@@ -6,6 +6,7 @@ import inspect
 import pathlib
 import pkgutil
 
+import numpy as np
 import pytest
 
 import actf
@@ -80,3 +81,36 @@ def test_every_check_names_a_function(results):
     }
     names = {r.name for r in results} - {"model_end_to_end"}
     assert names <= defined, sorted(names - defined)
+
+
+def test_a_faulty_rule_fails_only_its_own_checks(monkeypatch):
+    # matmul's backward off by a relative 1e-3: the checks that read matmul
+    # fail, and no other check routes through it on the way to its loss
+    matmul = T.matmul
+
+    def faulty(a, b):
+        out = matmul(a, b)
+        records = T.active_tape()._records if T.active_tape() else []
+        if records and records[-1][1] is out:
+            inputs, _, backward = records[-1]
+            records[-1] = (inputs, out, lambda g: [x * (1 + 1e-3) for x in backward(g)])
+        return out
+
+    monkeypatch.setattr(T, "matmul", faulty)
+    results = C.run_audit()
+    assert len(results) == 29
+    assert sorted(r.name for r in results if not r.ok) == (
+        ["matmul"] * 3 + ["temporal_weights"])
+
+
+def test_non_scalar_output_is_projected():
+    x = T.Tensor(np.random.default_rng(0).standard_normal((3, 4)), requires_grad=True)
+    x.data = np.where(np.abs(x.data) < 0.1, 0.5, x.data)  # off relu's kink
+    assert C.gradient_error(lambda: T.relu(x), [x]) < 1e-6
+
+
+def test_scalar_output_is_seeded_with_one():
+    # <1, f> is f itself: the tape gradient of a mean of four is exactly 1/4 each
+    x = T.Tensor(np.array([1.0, -2.0, 3.0, 0.5]), requires_grad=True)
+    assert C.gradient_error(lambda: T.mean(x, (0,)), [x]) < 1e-9
+    np.testing.assert_array_equal(x.grad, np.full(4, 0.25))

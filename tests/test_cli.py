@@ -170,6 +170,20 @@ def test_eval_from_checkpoint(tmp_path, tiny_cfg):
         assert float(r[3]) + float(r[4]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_eval_reports_no_split_without_final_fusion(tmp_path, tiny_cfg):
+    # single-actf classifies its temporal vector alone: no fusion weights to report
+    out = str(tmp_path / "out")
+    assert cli.main(["train", "--config", tiny_cfg, "--variant", "single-actf",
+                     "--out", out]) == 0
+    eval_out = str(tmp_path / "eval")
+    assert cli.main(["eval", "--checkpoint", os.path.join(out, "checkpoint.ckpt"),
+                     "--config", tiny_cfg, "--out", eval_out]) == 0
+    rows = [l.split("\t") for l in
+            open(os.path.join(eval_out, "fusion_weights.tsv")).read().splitlines()[3:]]
+    assert len(rows) == 4 * TINY["eval_per_class"]
+    assert all(r[3] == r[4] == "nan" for r in rows)
+
+
 def test_eval_scores_held_out_task(tmp_path, tiny_cfg, monkeypatch):
     # eval regenerates the task that train held out, not the training set
     out = str(tmp_path / "out")
@@ -639,6 +653,14 @@ def test_sketchbench_refuses_bad_config(tmp_path, capsys, key, value):
 
 def test_gradcheck_exits_zero():
     assert cli.main(["gradcheck", "--out", ""]) == 0
+
+
+def test_gradcheck_takes_no_config(capsys):
+    # gradcheck reads no config file, so naming one is a usage error
+    with pytest.raises(SystemExit) as e:
+        cli.main(["gradcheck", "--config", "x.json"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_gradcheck_failure_exits_one(monkeypatch, capsys):

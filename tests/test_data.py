@@ -1,6 +1,8 @@
 """Synthetic video tasks and the binary tensor file format."""
 
 import hashlib
+import os
+import stat
 import struct
 
 import numpy as np
@@ -181,6 +183,16 @@ class TestTensorFormat:
             atomic_write_bytes(path, "not bytes")
         assert path.read_bytes() == b"old"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.actf"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_written_file_follows_umask(self, tmp_path, umask, mode):
+        # a written file gets the mode open() would give it, not a temp file's 0o600
+        old = os.umask(umask)
+        try:
+            atomic_write_bytes(tmp_path / "x.actf", b"data")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "x.actf").stat().st_mode) == mode
 
     def test_file_round_trip(self, tmp_path):
         x = Tensor(np.random.default_rng(9).standard_normal((2, 7))

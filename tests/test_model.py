@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from actf import model as M
 from actf import tensor as T
-from actf.errors import ConfigError, FormatError
+from actf.errors import ConfigError, FormatError, InputError
 
 
 def tiny_dims(**kw):
@@ -34,6 +34,11 @@ class TestDims:
         with pytest.raises(ConfigError):
             tiny_dims(height=18)
 
+    def test_needs_two_frames(self):
+        # one frame has no frame pair for the temporal branch
+        with pytest.raises(ConfigError, match="at least 2 frames"):
+            tiny_dims(frames=1)
+
     @pytest.mark.parametrize("field", ["frames", "height", "out_channels", "sketch_dim"])
     def test_sizes_within_int32(self, field):
         # int32 sketch tables; C_out + d must fit a checkpoint's u32 dims
@@ -56,6 +61,20 @@ class TestForward:
                    .standard_normal((2, 8, 3, 32, 32)) * 0.1)
         logits = M.forward(videos, p)
         assert logits.data.shape == (2, 4)
+
+    @pytest.mark.parametrize("shape, variant, error, message", [
+        ((4, 3, 16, 16), "full", InputError, "expected"),
+        ((1, 4, 4, 16, 16), "full", InputError, "expected"),
+        ((1, 1, 3, 16, 16), "full", InputError, "at least 2 frames"),
+        ((1, 4, 3, 16, 20), "full", InputError, "spatial size"),
+        ((1, 4, 3, 16, 16), "everything", ConfigError, "unknown variant"),
+    ], ids=["rank", "channels", "one-frame", "spatial", "unknown-variant"])
+    def test_refuses_bad_input(self, shape, variant, error, message):
+        # a hand-built ModelParams can name any variant; forward checks it too
+        p = M.init_params(tiny_dims(), 0, "full")
+        p = M.ModelParams(p.dims, p.seed, variant, p.plan, p.tensors)
+        with pytest.raises(error, match=message):
+            M.forward(t(np.zeros(shape)), p)
 
     def test_zero_video_zero_biases(self):
         dims = tiny_dims()
@@ -328,6 +347,14 @@ class TestCheckpoint:
     def test_size_past_index_limits_rejected(self, tmp_path):
         path = self.tiny_claiming(tmp_path / "model.ckpt", "sketch_dim", "output_dim", 2**40)
         with pytest.raises(ConfigError, match="sketch_dim must be <= 2147483647"):
+            M.load_checkpoint(path)
+
+    def test_unsupported_version_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(path, M.init_params(tiny_dims(), 0, "full"))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + np.uint16(2).tobytes() + raw[6:])
+        with pytest.raises(FormatError, match="at byte 4: unsupported checkpoint version 2"):
             M.load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

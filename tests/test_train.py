@@ -235,6 +235,14 @@ class TestFit:
         np.testing.assert_allclose([r.lr for r in rep.epochs],
                                    [0.01, 0.001])
 
+    @pytest.mark.parametrize("run", [
+        lambda p: TR.fit(p, [], TR.TrainConfig(epochs=1)),
+        lambda p: TR.evaluate(p, []),
+    ], ids=["fit", "evaluate"])
+    def test_refuses_empty_dataset(self, run):
+        with pytest.raises(ConfigError, match="empty dataset"):
+            run(M.init_params(tiny_dims(), 0, "full"))
+
     def test_evaluate_is_accuracy(self):
         dims = tiny_dims()
         p = M.init_params(dims, 0, "full")
