@@ -42,7 +42,7 @@ def gradient_error(make_loss, leaves) -> float:
 
     A 0-d f gets w = 1, as ``Tape.backward`` seeds a loss. Any other f gets one
     standard-normal direction drawn from a generator seeded by f's size. The
-    tape side is one reverse sweep from w; the numeric side differences
+    tape side is ``Tape.backward(f, w)``; the numeric side differences
     ``np.vdot(f, w)``. ``make_loss`` must rebuild f from the leaves' current
     data each call; it is invoked once under a tape and 2N more times for the
     central differences.
@@ -53,8 +53,7 @@ def gradient_error(make_loss, leaves) -> float:
         f = make_loss()
         w = (np.random.default_rng(f.data.size).standard_normal(f.data.shape)
              if f.data.ndim else np.ones(()))
-        f.grad = w
-        tape._sweep()
+        tape.backward(f, w)
     analytic = np.concatenate([
         (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)).ravel()
         for leaf in leaves

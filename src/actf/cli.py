@@ -6,7 +6,7 @@ Every output table is tab-separated with a header row, preceded by '#' comment
 lines carrying the config hash and seed, and written atomically.
 
 Exit codes: 0 success, 1 numeric/check failure, 2 usage or configuration error
-(running out of memory included).
+(running out of memory, and a path that cannot be read or written, included).
 """
 
 from __future__ import annotations
@@ -146,8 +146,8 @@ def cmd_train(args) -> int:
     train_set = D.generate(train_task)
     eval_set = D.generate(eval_task)
     params = M.init_params(dims, cfg["seed"], cfg["variant"])
-    report = TR.fit(params, train_set, tcfg, eval_set=eval_set)
     os.makedirs(args.out, exist_ok=True)
+    report = TR.fit(params, train_set, tcfg, eval_set=eval_set)
     _write_table(os.path.join(args.out, "train_report.tsv"), h, cfg["seed"],
                  [f.name for f in dataclasses.fields(TR.EpochRecord)],
                  [dataclasses.astuple(r) for r in report.epochs])
@@ -180,6 +180,7 @@ def cmd_ablate(args) -> int:
     train_task, eval_task, dims, tcfg = _build_experiment(cfg)
     train_set = D.generate(train_task)
     eval_set = D.generate(eval_task)
+    os.makedirs(args.out, exist_ok=True)
     rows = []
     for variant in M.VARIANTS:
         params = M.init_params(dims, cfg["seed"], variant)
@@ -188,7 +189,6 @@ def cmd_ablate(args) -> int:
         rows.append((variant, float(final_train), float(final_eval),
                      float(_last_epoch(report, "loss"))))
         print(f"{variant}: train_acc={final_train:.4f} eval_acc={final_eval:.4f}")
-    os.makedirs(args.out, exist_ok=True)
     # `loss` is the last epoch's mean training loss; NaN marks a diverged variant.
     _write_table(os.path.join(args.out, "ablation.tsv"), h, cfg["seed"],
                  ("variant", "train_acc", "eval_acc", "loss"), rows)
@@ -201,6 +201,10 @@ _EVAL_KEYS = ("task", "frames", "height", "width", "train_per_class",
 
 
 def cmd_eval(args) -> int:
+    # A manifest names its own data: the flags that pick a synthetic task do not apply.
+    given = [f"--{k}" for k in ("config", "task", "noise", "seed") if vars(args)[k] is not None]
+    if args.manifest and given:
+        raise ConfigError(f"--manifest cannot be combined with {', '.join(given)}")
     params = M.load_checkpoint(args.checkpoint)
     d = params.dims
     if args.manifest:
@@ -382,7 +386,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FormatError, FileNotFoundError, json.JSONDecodeError) as e:
+    except (ConfigError, FormatError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ShapeError, InputError, RuntimeError) as e:

@@ -6,9 +6,9 @@ float64; float32 holds only data read or generated at the file format's
 precision, such as a batch of videos, which the first backbone layer's
 float64 im2col matrix widens exactly. Every differentiable primitive in this
 module computes its forward value eagerly and, when a Tape is active and some
-input requires gradients, records a backward closure. ``Tape.backward`` replays
-the closures in exact reverse order of recording, accumulating cotangents into
-``Tensor.grad``.
+input requires gradients, records a backward closure. ``Tape.backward(out, grad)``
+seeds an output's cotangent (1 for a scalar loss) and replays the closures in
+exact reverse order of recording, accumulating cotangents into ``Tensor.grad``.
 
 Broadcasting is deliberately limited to weights over leading axes (``scale``)
 and per-row biases (``linear``); other mismatched shapes raise ShapeError.
@@ -103,8 +103,8 @@ class Tape:
     """Ordered record of primitive operations for one reverse sweep.
 
     Use as a context manager around the forward pass, then call ``backward``
-    on the scalar result. A tape records only what its own thread runs, and
-    tapes do not nest within a thread.
+    on a scalar loss, or on any output with its cotangent. A tape records only
+    what its own thread runs, and tapes do not nest within a thread.
     """
 
     def __init__(self):
@@ -120,21 +120,22 @@ class Tape:
         _ACTIVE_TAPE.tape = None
         return False
 
-    def backward(self, loss: Tensor) -> None:
-        if loss.data.shape != ():
-            raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-        loss.grad = np.ones((), dtype=np.float64)
-        self._sweep()
-
-    def _sweep(self) -> None:
-        """Replay the records in reverse from the cotangents already seeded.
-
-        Each record is popped as it is swept, dropping its closure and its
-        output's cotangent, so memory falls as the sweep goes; the tape is
-        spent after."""
+    def backward(self, out: Tensor, grad=None) -> None:
+        """Replay the records in reverse from ``grad``, the cotangent of ``out``:
+        an array shaped like it, seeded as given (no copy, no cast). Only a 0-d
+        loss may leave it out, and is seeded with 1. Each record is popped as it
+        is swept, dropping its closure and its output's cotangent, so memory
+        falls as the sweep goes; the tape is spent after."""
+        if grad is None:
+            if out.data.shape != ():
+                raise ShapeError(f"backward requires a scalar loss, got shape {out.data.shape}")
+            grad = np.ones((), dtype=np.float64)
+        elif np.shape(grad) != out.data.shape:
+            raise ShapeError(f"backward: cotangent {np.shape(grad)} for output {out.data.shape}")
+        out.grad = grad
         while self._records:
-            inputs, out, fn = self._records.pop()
-            g_out, out.grad = out.grad, None
+            inputs, output, fn = self._records.pop()
+            g_out, output.grad = output.grad, None
             if g_out is None:
                 continue
             grads = fn(g_out)
@@ -561,13 +562,8 @@ def batch_parallel(fn, x: Tensor, leaves: dict, shards: int) -> Tensor:
 
     def backward(g):
         nonlocal ran
-
-        def sweep(out, tape, lo, hi):
-            out.grad = g[lo:hi]
-            tape._sweep()
-
-        _run_shards([functools.partial(sweep, out, tape, *s)
-                     for (out, tape, _), s in zip(ran, spans)])
+        _run_shards([functools.partial(tape.backward, out, g[lo:hi])
+                     for (out, tape, _), (lo, hi) in zip(ran, spans)])
         grads = list(zip(*([t.grad for t in shard] for _, _, shard in ran)))
         ran = None
         gx = np.zeros(x.data.shape) if x.requires_grad else None

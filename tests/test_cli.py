@@ -339,6 +339,23 @@ def test_eval_manifest_round_trip(tmp_path, tiny_cfg):
     assert rc == 0
 
 
+@pytest.mark.parametrize("flag, value", [("--config", None), ("--task", "direction4"),
+                                         ("--noise", "0.0"), ("--seed", "0")],
+                         ids=["config", "task", "noise", "seed"])
+def test_eval_manifest_refuses_task_flags(tmp_path, tiny_cfg, capsys, flag, value):
+    # the manifest names the data: a flag that picks a synthetic task is a usage error
+    out = str(tmp_path / "out")
+    assert cli.main(["train", "--config", tiny_cfg, "--out", out, "--epochs", "0"]) == 0
+    ds = D.generate(D.SyntheticTask(kind="direction4", frames=4, height=16,
+                                    width=16, per_class=1, seed=9))
+    manifest = D.save_dataset(tmp_path / "data", ds)
+    rc = cli.main(["eval", "--checkpoint", os.path.join(out, "checkpoint.ckpt"),
+                   "--manifest", manifest, flag, value or tiny_cfg, "--out", str(tmp_path / "ev")])
+    assert rc == 2
+    assert f"error: --manifest cannot be combined with {flag}\n" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "ev")
+
+
 @pytest.mark.parametrize("label, message", [
     ("x", "manifest line 1: expected 'path<TAB>integer label'"),
     ("-1", "dataset labels [-1] are not classes of the checkpoint"),
@@ -390,6 +407,23 @@ def test_eval_missing_checkpoint(tmp_path):
     rc = cli.main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt"),
                    "--out", str(tmp_path / "ev")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "{cfg}", "--out", "{file}"],
+    ["ablate", "--config", "{cfg}", "--out", "{file}"],
+    ["train", "--config", "{dir}", "--out", "{out}"],
+    ["eval", "--checkpoint", "{dir}", "--out", "{out}"],
+], ids=["train-out-is-file", "ablate-out-is-file", "config-is-dir", "checkpoint-is-dir"])
+def test_unusable_path_usage_error(tmp_path, tiny_cfg, capsys, monkeypatch, argv):
+    # an OSError on a path the user gave exits 2, and a bad --out fails before the fit
+    monkeypatch.setattr(cli.TR, "fit", lambda *a, **kw: pytest.fail("trained"))
+    file = tmp_path / "file"
+    file.write_text("")
+    argv = [a.format(cfg=tiny_cfg, file=file, dir=tmp_path, out=tmp_path / "out") for a in argv]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_config_key(tmp_path):

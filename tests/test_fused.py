@@ -79,15 +79,13 @@ def _assert_close(got, want):
         np.max(np.abs(want), initial=0.0))
 
 
-def _value_and_grads(op, leaves, seed=0):
-    """op(*leaves), and every leaf's gradient of a fixed random projection of it."""
+def _value_and_grads(op, leaves):
+    """op(*leaves), and every leaf's gradient for one fixed random cotangent of it."""
     for leaf in leaves:
         leaf.grad = None
     with T.Tape() as tape:
         out = op(*leaves)
-        r = np.random.default_rng(seed).standard_normal(out.data.size)
-        tape.backward(T.reshape(T.matmul(T.reshape(out, (1, out.data.size)),
-                                         t(r.reshape(-1, 1))), ()))
+        tape.backward(out, np.random.default_rng(0).standard_normal(out.data.shape))
     return [out.data] + [leaf.grad for leaf in leaves]
 
 
