@@ -236,6 +236,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"dataset labels {outside} are not classes of the checkpoint, [0, {d.n_classes})"
         )
+    os.makedirs(args.out, exist_ok=True)
     labels = np.array([label for _, label in dataset])
     preds = np.argmax(TR.predict(params, dataset), axis=1)
     per_class_n = np.bincount(labels, minlength=d.n_classes)
@@ -246,7 +247,6 @@ def cmd_eval(args) -> int:
     delta, epsilon = (float(wa.data), float(wb.data)) if fused else (float("nan"),) * 2
     fusion_rows = [(i, int(y), int(p), delta, epsilon)
                    for i, (y, p) in enumerate(zip(labels, preds))]
-    os.makedirs(args.out, exist_ok=True)
     acc_rows = [
         (c, int(per_class_n[c]), int(per_class_correct[c]),
          float(per_class_correct[c] / per_class_n[c]) if per_class_n[c] else float("nan"))
@@ -278,13 +278,13 @@ def cmd_sketchbench(args) -> int:
     if not cfg["output_dims"]:
         raise ConfigError("sketchbench: output_dims must list at least one width")
     h = _config_hash(cfg)
+    os.makedirs(args.out, exist_ok=True)
     rows = []
     for d in cfg["output_dims"]:
         errs = sketch_errors(cfg["input_dim"], d, cfg["trials"], cfg["seed"])
         rows.append((d, float(np.median(errs)),
                      float(np.quantile(errs, 0.25)), float(np.quantile(errs, 0.75))))
         print(f"d={d}: median_rel_err={rows[-1][1]:.4f}")
-    os.makedirs(args.out, exist_ok=True)
     _write_table(os.path.join(args.out, "sketchbench.tsv"), h, cfg["seed"],
                  ("d", "median_rel_err", "q25_rel_err", "q75_rel_err"), rows)
     return 0

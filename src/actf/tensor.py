@@ -16,9 +16,9 @@ and per-row biases (``linear``); other mismatched shapes raise ShapeError.
 attention primitives of ``actf.attention`` compute with them.
 
 A backbone layer is one fused primitive, ``conv_relu_pool``: one GEMM on an im2col
-matrix with a ones row adds its bias and pool quarter. One 0/1 pooling matrix serves
-both ways: a GEMM with it pools, and one with its transpose upsamples the cotangent;
-both are built once per image width. ``mix_frames`` maps the frame axis by a
+matrix with a ones row adds its bias and pool quarter. Its buffers are batch-innermost,
+(C, H, W, N), and exact adds pool each 2x2 block, so a non-finite value stays in its
+block, forward and backward. ``mix_frames`` maps the frame axis by a
 fixed matrix or vector, such as the branch's frame-pair maps, in one matmul.
 The backward products of ``linear`` and ``matmul`` use ``np.dot``: at one row
 they are outer products, which ``@`` computes in its own loop and ``np.dot``
@@ -321,17 +321,6 @@ def mix_frames(x: Tensor, w: np.ndarray) -> Tensor:
     return apply_primitive(out, (x,), backward)
 
 
-@functools.lru_cache(maxsize=None)
-def _pool_matrices(W: int):
-    """The (2W, W/2) 0/1 matrix that sums each 2x2 block of a row pair of width W,
-    and its transpose / 4, which spreads a cell's cotangent over its block. Both
-    are read-only and kept per width."""
-    pool = np.tile(np.kron(np.eye(W // 2), [[1.0], [1.0]]), (2, 1))
-    up = pool.T / 4
-    pool.flags.writeable = up.flags.writeable = False
-    return pool, up
-
-
 def _taps(kh: int, kw: int, H: int, W: int):
     """(i, j, out, src) per tap of a same-padded kernel: the (rows, cols) it writes
     and reads, clipped to the H x W image (both empty where the tap misses it)."""
@@ -349,11 +338,12 @@ def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     kw, applied with 'same' zero padding and stride 1; b: (C_out,). Returns
     (N, C_out, H/2, W/2). A NaN pre-activation stays NaN, with gradient 0.
 
-    im2col copies x unpadded, tap by tap, into rows (c, i, j) plus a row of ones;
-    one GEMM with [w | b] / 4 then gives relu(y)/4 = relu(y/4). A GEMM with a
-    (2W, W/2) 0/1 matrix pools it, and one with its transpose / 4 upsamples the
-    cotangent. BLAS spreads a NaN or inf along its whole row (0·inf), so a layer
-    whose pooled sum is not finite pools again by exact pair adds; col2im is unpadded.
+    The layer runs batch-innermost, in (C, H, W, N) order, so each copy and add
+    moves runs of about W·N values. im2col copies x once to that order, then
+    tap by tap, unpadded, into rows (c, i, j) plus a row of ones; one GEMM with
+    [w | b] / 4 gives relu(y)/4 = relu(y/4). Three exact adds pool each 2x2
+    block, and one product spreads a cell's cotangent over its block through
+    the ReLU mask, so a NaN or inf stays in its block both ways. col2im is unpadded.
     """
     if x.data.ndim != 4 or w.data.ndim != 4 or b.data.ndim != 1:
         raise ShapeError(
@@ -366,52 +356,48 @@ def conv_relu_pool(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"conv_relu_pool: incompatible shapes x={x.data.shape} w={w.data.shape} b={b.data.shape}"
         )
-    cols = np.empty((Cin * kh * kw + 1, N * H * W))
-    taps, xc = cols[:-1].reshape(Cin, kh, kw, N, H, W), x.data.transpose(1, 0, 2, 3)
+    xc = np.ascontiguousarray(x.data.transpose(1, 2, 3, 0))
+    cols = np.empty((Cin * kh * kw + 1, H * W * N))
+    taps = cols[:-1].reshape(Cin, kh, kw, H, W, N)
     for i, j, (oh, ow), (ih, iw) in _taps(kh, kw, H, W):
         tap = taps[:, i, j]
-        tap[:, :, oh, ow] = xc[:, :, ih, iw]
+        tap[:, oh, ow] = xc[:, ih, iw]
         # Zero only the border strips the tap leaves unwritten.
-        tap[:, :, :oh.start] = tap[:, :, oh.stop:] = 0.0
-        tap[:, :, oh, :ow.start] = tap[:, :, oh, ow.stop:] = 0.0
+        tap[:, :oh.start] = tap[:, oh.stop:] = 0.0
+        tap[:, oh, :ow.start] = tap[:, oh, ow.stop:] = 0.0
+    del xc
     cols[-1] = 1.0
     wk = w.data.reshape(Cout, -1)
     y = np.hstack((wk, b.data[:, None])) / 4 @ cols
     mask = y > 0 if _recording((x, w, b)) else None
     np.maximum(y, 0.0, out=y)
-    # Each row of y.reshape(-1, 2W) is image rows 2r, 2r + 1 of one (c, n): the
-    # pool sums it into W/2 cells, and the backward spreads W/2 cells over it.
-    pool, up = _pool_matrices(W)
-    with np.errstate(invalid="ignore"):  # 0·inf, redone exactly below
-        pooled = y.reshape(-1, 2 * W) @ pool
-    if not np.isfinite(pooled.sum()):
-        # Sum row pairs, then column pairs: a NaN or inf stays in its 2x2 block.
-        y = y.reshape(Cout, N, H // 2, 2, W)
-        y = (y[:, :, :, 0] + y[:, :, :, 1]).reshape(Cout, N, H // 2, W // 2, 2)
-        pooled = y[..., 0] + y[..., 1]
+    y = y.reshape(Cout, H // 2, 2, W // 2, 2, N)
+    pooled = y[:, :, 0, :, 0] + y[:, :, 0, :, 1]
+    pooled += y[:, :, 1, :, 0]
+    pooled += y[:, :, 1, :, 1]
     out = np.empty((N, Cout, H // 2, W // 2))
-    out.transpose(1, 0, 2, 3)[...] = pooled.reshape(Cout, N, H // 2, W // 2)
+    out.transpose(1, 2, 3, 0)[...] = pooled
     need_gx = x.requires_grad
 
     def backward(g):
         # The tape runs each backward once: the mask and im2col are freed as soon
         # as they are used, so col2im's buffer does not sit on top of them.
         nonlocal cols, mask
-        gy = (g.transpose(1, 0, 2, 3).reshape(-1, W // 2) @ up).reshape(Cout, -1)
-        gy *= mask
+        gy = np.multiply(mask.reshape(Cout, H // 2, 2, W // 2, 2, N),
+                         g.transpose(1, 2, 3, 0)[:, :, None, :, None]).reshape(Cout, -1)
         mask = None
-        gwb = (cols @ gy.T).T  # OpenBLAS: about twice as fast as gy @ cols.T for 8 rows
+        gwb = (cols @ gy.T).T / 4  # OpenBLAS: about twice as fast as gy @ cols.T for 8 rows
         cols = None
         gw, gb = gwb[:, :-1].reshape(w.data.shape), gwb[:, -1]
         if not need_gx:
             return None, gw, gb
-        gcols = (wk.T @ gy).reshape(Cin, kh, kw, N, H, W)
+        gcols = (wk.T / 4 @ gy).reshape(Cin, kh, kw, H, W, N)
         del gy
         gx = gcols[:, kh // 2, kw // 2].copy()
         for i, j, (oh, ow), (ih, iw) in _taps(kh, kw, H, W):
             if (i, j) != (kh // 2, kw // 2):
-                gx[:, :, ih, iw] += gcols[:, i, j, :, oh, ow]
-        return gx.transpose(1, 0, 2, 3), gw, gb
+                gx[:, ih, iw] += gcols[:, i, j, oh, ow]
+        return gx.transpose(3, 0, 1, 2), gw, gb
 
     return apply_primitive(out, (x, w, b), backward)
 

@@ -426,6 +426,24 @@ def test_unusable_path_usage_error(tmp_path, tiny_cfg, capsys, monkeypatch, argv
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["sketchbench", "eval"])
+def test_out_is_file_fails_before_the_work(tmp_path, tiny_cfg, capsys, monkeypatch, command):
+    # a plain file as --out exits 2 before any width is sketched or video scored
+    ckpt = tmp_path / "run" / "checkpoint.ckpt"
+    assert cli.main(["train", "--config", tiny_cfg, "--out", str(ckpt.parent), "--epochs", "0"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "sketch_errors", lambda *a: pytest.fail("sketched"))
+    monkeypatch.setattr(cli.TR, "predict", lambda *a: pytest.fail("scored"))
+    file = tmp_path / "file"
+    file.write_text("")
+    argv = {"sketchbench": ["sketchbench"],
+            "eval": ["eval", "--config", tiny_cfg, "--checkpoint", str(ckpt)]}[command]
+    assert cli.main([*argv, "--out", str(file)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: [Errno ")
+    assert "d=" not in out and "eval accuracy" not in out
+
+
 def test_unknown_config_key(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"learning_rate": 0.1}))

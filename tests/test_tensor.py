@@ -255,22 +255,18 @@ class TestAvgPool:
         taped(lambda: self.pool(x), g)
         np.testing.assert_array_equal(x.grad, np.repeat(np.repeat(g / 4, 2, 2), 2, 3))
 
-    def test_pool_matrices_built_once_per_width(self, monkeypatch):
-        # both matrices are kept per width and read-only; each use gives the same bits
-        T._pool_matrices.cache_clear()
-        built, kron = [], np.kron
-        monkeypatch.setattr(np, "kron", lambda *a: built.append(a) or kron(*a))
+    def test_nan_cotangent_stays_in_its_block(self):
+        # A NaN in one pooled cell's cotangent reaches only that cell's 2x2
+        # block of the input gradient; every other cell gets its quarter exactly.
         rng = np.random.default_rng(11)
-        x = t(rng.uniform(0.5, 1.5, (2, 3, 4, 10)), grad=True)
-        g = rng.standard_normal((2, 3, 2, 5))
-        for _ in range(3):
-            x.grad = None
-            taped(lambda: self.pool(x), g)
-            np.testing.assert_array_equal(x.grad, np.repeat(np.repeat(g / 4, 2, 2), 2, 3))
-        assert len(built) == 1
-        self.pool(t(np.ones((1, 3, 4, 12))))
-        assert len(built) == 2
-        assert not any(m.flags.writeable for m in T._pool_matrices(10))
+        x = t(rng.uniform(0.5, 1.5, (2, 1, 4, 8)), grad=True)
+        g = rng.standard_normal((2, 1, 2, 4))
+        g[0, 0, 1, 2] = np.nan
+        taped(lambda: self.pool(x), g)
+        expected = np.zeros(x.data.shape, dtype=bool)
+        expected[0, 0, 2:4, 4:6] = True
+        np.testing.assert_array_equal(np.isnan(x.grad), expected)
+        np.testing.assert_array_equal(x.grad, np.repeat(np.repeat(g / 4, 2, 2), 2, 3))
 
     def test_gradcheck(self):
         rng = np.random.default_rng(9)
