@@ -20,9 +20,8 @@ matrix with a ones row adds its bias and pool quarter. Its buffers are batch-inn
 (C, H, W, N), and exact adds pool each 2x2 block, so a non-finite value stays in its
 block, forward and backward. ``mix_frames`` maps the frame axis by a
 fixed matrix or vector, such as the branch's frame-pair maps, in one matmul.
-The backward products of ``linear`` and ``matmul`` use ``np.dot``: at one row
-they are outer products, which ``@`` computes in its own loop and ``np.dot``
-through BLAS.
+The weight gradients of ``linear`` and ``matmul`` sum over the batch, and
+``_batch_dot`` makes each one BLAS GEMM at every batch size, one row included.
 
 The active tape is per thread. ``batch_parallel`` runs a function on as many
 shards of a batch as its caller asks for, each on a worker thread with its own
@@ -220,12 +219,19 @@ def softmax(x: np.ndarray) -> np.ndarray:
 # linear algebra
 
 
+def _batch_dot(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """aᵀg over the batch rows as one BLAS GEMM (at one row ``@`` loops, ``np.dot`` zero-fills
+    first): a zero row appended to a and g adds 0·0, so one row is the exact outer product."""
+    az, gz = (np.zeros((len(m) + 1, m.shape[1]), m.dtype) for m in (a, g))
+    az[:-1], gz[:-1] = a, g
+    return az.T @ gz
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
     ad, bd = a.data, b.data
-    # np.dot, not @: @ runs an outer (inner size 1) product outside BLAS.
-    return apply_primitive(ad @ bd, (a, b), lambda g: (np.dot(g, bd.T), np.dot(ad.T, g)))
+    return apply_primitive(ad @ bd, (a, b), lambda g: (g @ bd.T, _batch_dot(ad, g)))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -237,8 +243,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     xd, wd = x.data, w.data
 
     def backward(g):
-        # np.dot, not @: @ runs an outer (inner size 1) product outside BLAS.
-        return g @ wd.T, np.dot(xd.T, g), g.sum(axis=0)
+        return g @ wd.T, _batch_dot(xd, g), g.sum(axis=0)
 
     return apply_primitive(xd @ wd + b.data, (x, w, b), backward)
 

@@ -223,6 +223,36 @@ class TestLinear:
         assert_c_f64(w.grad)
 
 
+@pytest.mark.parametrize("n", [1, 16])
+@pytest.mark.parametrize("op", [T.matmul, lambda x, w: T.linear(x, w, t(np.ones(3)))],
+                         ids=["matmul", "linear"])
+class TestWeightGradientOverBatch:
+    """The weight gradient xᵀg of matmul and linear, a sum over the batch rows."""
+
+    def test_backward_leaves_operands_and_cotangent_unchanged(self, op, n):
+        # apply_primitive forbids writing into a cotangent: concat_channels
+        # hands one to both of its inputs
+        rng = np.random.default_rng(27)
+        x, w = t(rng.standard_normal((n, 6)), grad=True), t(rng.standard_normal((6, 3)), grad=True)
+        g = rng.standard_normal((n, 3))
+        before = [a.tobytes() for a in (x.data, w.data, g)]
+        taped(lambda: op(x, w), g)
+        assert [a.tobytes() for a in (x.data, w.data, g)] == before
+
+    def test_non_finite_row_reaches_weight_gradient_as_in_the_product(self, op, n):
+        # fit records the first parameter whose gradient is not finite
+        rng = np.random.default_rng(28)
+        x, w = t(rng.standard_normal((n, 6))), t(rng.standard_normal((6, 3)), grad=True)
+        x.data[-1, 1], x.data[-1, 4] = np.inf, np.nan
+        g = rng.standard_normal((n, 3))
+        g[-1, 2] = 0.0  # inf * 0 is NaN
+        with np.errstate(all="ignore"):
+            taped(lambda: op(x, w), g)
+            want = np.outer(x.data[0], g[0]) if n == 1 else x.data.T @ g
+        np.testing.assert_array_equal(w.grad, want)
+        assert np.isnan(w.grad).any() and np.isinf(w.grad).any()
+
+
 class TestAvgPool:
     """The 2x2 mean pool of conv_relu_pool, seen through an identity 1x1 kernel."""
 
