@@ -21,12 +21,6 @@ from . import tensor as T
 from .tensor import Tensor
 
 
-def init_temporal_attention(feat_dim: int, rng: np.random.Generator) -> Tensor:
-    """The (feat_dim, 1) projection shared by all pairs, giving one logit per pair feature."""
-    bound = np.sqrt(3.0 / feat_dim)
-    return Tensor(rng.uniform(-bound, bound, size=(feat_dim, 1)), requires_grad=True)
-
-
 def _squash(logits: np.ndarray):
     """softmax(sigmoid(logits)) over the last axis, and its backward from the weights' cotangent."""
     s = T.sigmoid(logits)
@@ -75,14 +69,6 @@ class PairFusionWeights:
 
     raw_a: Tensor
     raw_b: Tensor
-
-
-def init_pair_fusion() -> PairFusionWeights:
-    # Zero raw scalars give the neutral 0.5/0.5 split.
-    return PairFusionWeights(
-        raw_a=Tensor(np.zeros(()), requires_grad=True),
-        raw_b=Tensor(np.zeros(()), requires_grad=True),
-    )
 
 
 def _split(w: PairFusionWeights):

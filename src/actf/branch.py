@@ -87,23 +87,9 @@ class LowLevelFeature:
         return self._once("spatial_mean", lambda: T.mean(self.batch, (3, 4)))
 
 
-def init_reduction(in_dim: int, r1: int, r2: int, out_dim: int,
-                   rng: np.random.Generator) -> dict:
-    """The reduction network's weights {"w1", "b1", ..., "b3"}: each weight
-    uniform within +-sqrt(3 / fan-in), each bias zero."""
-    widths = (in_dim, r1, r2, out_dim)
-    weights = {}
-    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:]), 1):
-        bound = np.sqrt(3.0 / fan_in)
-        weights[f"w{i}"] = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)),
-                                  requires_grad=True)
-        weights[f"b{i}"] = Tensor(np.zeros(fan_out), requires_grad=True)
-    return weights
-
-
 def reduction(v: Tensor, w: dict) -> Tensor:
     """Three linear layers (ReLU after the first two) mapping pooled fused
-    features (B, C) down to (B, C_out), with the weights of ``init_reduction``."""
+    features (B, C) down to (B, C_out), with weights {"w1", "b1", ..., "b3"}."""
     x = T.relu(T.linear(v, w["w1"], w["b1"]))
     x = T.relu(T.linear(x, w["w2"], w["b2"]))
     return T.linear(x, w["w3"], w["b3"])
@@ -116,7 +102,7 @@ class ActfParams:
     plan: SketchPlan
     attn: Tensor               # (d, 1) temporal attention projection
     pair_fusion: PairFusionWeights
-    reduction: dict            # {"w1", "b1", ..., "b3"} of ``init_reduction``
+    reduction: dict            # {"w1", "b1", ..., "b3"}: the model's "reduction.*" tensors
 
 
 @functools.lru_cache(maxsize=None)

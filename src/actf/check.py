@@ -180,23 +180,19 @@ def run_audit(seed: int = 0) -> list:
     check("batch_parallel",
           lambda: T.batch_parallel(shard, xb, {"w": wb, "b": bb}, 2), [xb, wb, bb])
 
-    results.append(model_audit(seed))
-    return results
-
-
-def model_audit(seed: int = 0) -> CheckResult:
-    """End-to-end check through forward + loss over all trainable parameters."""
+    # End to end: forward + loss over every trainable tensor of a tiny model,
+    # drawn from its own stream.
+    mrng = np.random.default_rng(seed)
     dims = M.ModelDims(frames=4, height=16, width=16, conv1_channels=3,
                        out_channels=8, sketch_dim=32, n_classes=3)
-    rng = np.random.default_rng(seed)
     params = M.init_params(dims, seed, "full")
+    leaves = [t for _, t, _ in M.trainable_parameters(params)]
     # Move fusion scalars off the symmetric zero init so their gradients are
     # generic, and perturb biases off zero.
-    for name, t, _ in M.trainable_parameters(params):
+    for t in leaves:
         if t.data.size <= 4:
-            t.data = np.asarray(t.data + 0.1 * rng.standard_normal(t.data.shape))
-    videos = Tensor(rng.uniform(0, 1, size=(2, dims.frames, 3, dims.height, dims.width)))
-    labels = [1, 2]
-    leaves = [t for _, t, _ in M.trainable_parameters(params)]
-    err = gradient_error(lambda: T.cross_entropy(M.forward(videos, params), labels), leaves)
-    return CheckResult("model_end_to_end", err, MODEL_TOL)
+            t.data = np.asarray(t.data + 0.1 * mrng.standard_normal(t.data.shape))
+    videos = Tensor(mrng.uniform(0, 1, size=(2, dims.frames, 3, dims.height, dims.width)))
+    check("model_end_to_end", lambda: T.cross_entropy(M.forward(videos, params), [1, 2]),
+          leaves, MODEL_TOL)
+    return results

@@ -54,19 +54,6 @@ class ModelDims:
                 raise ConfigError(f"ModelDims: {name} must be <= {MAX_SIZE}, got {v}")
 
     @property
-    def concat_channels(self) -> int:
-        return self.out_channels + self.sketch_dim
-
-    # Hidden widths of the reduction network: a geometric taper.
-    @property
-    def r1(self) -> int:
-        return max(1, self.concat_channels // 2)
-
-    @property
-    def r2(self) -> int:
-        return 2 * self.out_channels
-
-    @property
     def feature_spatial(self) -> tuple:
         # Two stride-2 poolings in the backbone.
         return self.height // 4, self.width // 4
@@ -117,15 +104,17 @@ def param_shapes(dims: ModelDims, variant: str) -> dict:
     draws them, and ``load_checkpoint`` checks a file against them first."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    c1, c, k = dims.conv1_channels, dims.out_channels, dims.n_classes
+    c1, c, d, k = dims.conv1_channels, dims.out_channels, dims.sketch_dim, dims.n_classes
     clf = c if variant in ("single-actf", "spatial-only") else 2 * c
+    # The reduction's hidden widths taper the fused d + C_out features to C_out.
+    r1, r2 = (d + c) // 2, 2 * c
     return {
         "backbone.w1": (c1, IN_CHANNELS, 3, 3), "backbone.b1": (c1,),
         "backbone.w2": (c, c1, 3, 3), "backbone.b2": (c,),
-        "attn.proj": (dims.sketch_dim, 1), "pair_fusion.raw_a": (), "pair_fusion.raw_b": (),
-        "reduction.w1": (dims.concat_channels, dims.r1), "reduction.b1": (dims.r1,),
-        "reduction.w2": (dims.r1, dims.r2), "reduction.b2": (dims.r2,),
-        "reduction.w3": (dims.r2, c), "reduction.b3": (c,),
+        "attn.proj": (d, 1), "pair_fusion.raw_a": (), "pair_fusion.raw_b": (),
+        "reduction.w1": (d + c, r1), "reduction.b1": (r1,),
+        "reduction.w2": (r1, r2), "reduction.b2": (r2,),
+        "reduction.w3": (r2, c), "reduction.b3": (c,),
         "final_fusion.raw_a": (), "final_fusion.raw_b": (),
         "clf.w": (clf, k), "clf.b": (k,),
     }

@@ -18,7 +18,6 @@ from actf import branch as B
 from actf import cli
 from actf import data as D
 from actf import model as M
-from actf import sketch as S
 from actf import train as TR
 from actf.tensor import Tensor
 
@@ -76,7 +75,8 @@ def test_criterion_3_normalization_invariants(capsys):
         for _ in range(1000):
             feat = int(rng.integers(1, 6))
             npairs = int(rng.integers(1, 5))
-            attn = A.init_temporal_attention(feat, rng)
+            bound = np.sqrt(3.0 / feat)
+            attn = Tensor(rng.uniform(-bound, bound, size=(feat, 1)))
             pairs = Tensor(rng.standard_normal((1, npairs, feat, 2, 2)))
             alpha = A.temporal_weights(pairs, attn).data
             assert abs(alpha.sum() - 1.0) < 1e-12
@@ -94,13 +94,8 @@ def test_criterion_4_shape_reproduction(capsys):
         start = time.monotonic()
         c_out, d = 768, 3840
         rng = np.random.default_rng(0)
-        params = B.ActfParams(
-            plan=S.make_plan(c_out, d, 0),
-            attn=A.init_temporal_attention(d, rng),
-            pair_fusion=A.init_pair_fusion(),
-            reduction=B.init_reduction(d + c_out, (d + c_out) // 2,
-                                       2 * c_out, c_out, rng),
-        )
+        params = M.init_params(M.ModelDims(frames=8, height=28, width=28, conv1_channels=1,
+                                           out_channels=c_out, sketch_dim=d, n_classes=1), 0).actf
         F = B.LowLevelFeature(
             Tensor(rng.standard_normal((8, c_out, 7, 7)) * 0.1))
         iccf = B.extract_iccf(F, params.plan, params.attn)

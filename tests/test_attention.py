@@ -21,7 +21,7 @@ def _pairs(rng, n, c, h, w):
 class TestTemporalWeights:
     def test_identical_pairs_uniform(self):
         rng = np.random.default_rng(0)
-        attn = A.init_temporal_attention(4, rng)
+        attn = t(rng.standard_normal((4, 1)))
         p = rng.standard_normal((4, 3, 3))
         alpha = A.temporal_weights(t(np.stack([p, p, p])[None]), attn).data
         np.testing.assert_allclose(alpha, np.full((1, 3), 1.0 / 3), atol=1e-12)
@@ -36,8 +36,7 @@ class TestTemporalWeights:
         # hand-evaluate pool -> project -> sigmoid -> softmax for two pairs
         rng = np.random.default_rng(2)
         c, h, w = 3, 2, 2
-        proj = A.init_temporal_attention(c, rng)
-        assert proj.data.shape == (c, 1)
+        proj = t(rng.standard_normal((c, 1)))
         pairs = _pairs(rng, 2, c, h, w)
         alpha = A.temporal_weights(pairs, proj).data
 
@@ -52,13 +51,13 @@ class TestTemporalWeights:
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(3)
-        attn = A.init_temporal_attention(6, rng)
+        attn = t(rng.standard_normal((6, 1)))
         alpha = A.temporal_weights(_pairs(rng, 7, 6, 3, 3), attn).data
         assert abs(alpha.sum() - 1.0) < 1e-12
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(4)
-        attn = A.init_temporal_attention(4, rng)
+        attn = t(rng.standard_normal((4, 1)))
         pairs = _pairs(rng, 5, 4, 2, 2)
         alpha = A.temporal_weights(pairs, attn).data
         perm = [3, 0, 4, 1, 2]
@@ -69,7 +68,7 @@ class TestTemporalWeights:
         # each video's maps are averaged over space, then projected, squashed
         # and normalized across its own pairs only
         rng = np.random.default_rng(6)
-        attn = A.init_temporal_attention(4, rng)
+        attn = t(rng.standard_normal((4, 1)))
         maps = rng.standard_normal((2, 3, 4, 2, 5))
         alpha = A.temporal_weights(t(maps), attn).data
         assert alpha.shape == (2, 3)
@@ -80,7 +79,7 @@ class TestTemporalWeights:
 
     def test_bad_shapes(self):
         # pooled (B, t-1, C) features are refused: only maps are taken
-        attn = A.init_temporal_attention(4, np.random.default_rng(7))
+        attn = t(np.zeros((4, 1)))
         for shape in ((2, 3, 4), (3, 4), (2, 3, 4, 2), (2, 3, 5, 2, 2)):
             with pytest.raises(ShapeError):
                 A.temporal_weights(t(np.zeros(shape)), attn)
@@ -94,7 +93,8 @@ class TestTemporalWeights:
 
 class TestPairFusion:
     def test_neutral_split(self):
-        w = A.init_pair_fusion()
+        # zero raw scalars, as a model starts, split evenly
+        w = A.PairFusionWeights(t(0.0), t(0.0))
         wa, wb = A.effective_weights(w)
         assert wa.data == pytest.approx(0.5, abs=1e-15)
         assert wb.data == pytest.approx(0.5, abs=1e-15)
@@ -141,7 +141,7 @@ class TestPairFusion:
         rng = np.random.default_rng(7)
         a = t(rng.standard_normal((7, 3840, 7, 7)))
         b = t(rng.standard_normal((7, 768, 7, 7)))
-        out = A.fuse_pair(a, b, A.init_pair_fusion())
+        out = A.fuse_pair(a, b, A.PairFusionWeights(t(0.0), t(0.0)))
         assert out.data.shape == (7, 4608, 7, 7)
 
     def test_fuse_scales_blocks(self):

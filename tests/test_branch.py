@@ -5,7 +5,7 @@ import pytest
 
 from actf import branch as B
 from actf import attention as A
-from actf import sketch as S
+from actf import model as M
 from actf import tensor as T
 from actf.check import gradient_error
 from actf.errors import InputError, ShapeError
@@ -15,17 +15,11 @@ def t(x, grad=False):
     return T.Tensor(np.asarray(x, dtype=np.float64), requires_grad=grad)
 
 
-def _params(c_out, d, seed=0, r1=None, r2=None):
-    rng = np.random.default_rng(seed)
-    c_cat = d + c_out
-    r1 = r1 or max(1, c_cat // 2)
-    r2 = r2 or 2 * c_out
-    return B.ActfParams(
-        plan=S.make_plan(c_out, d, seed),
-        attn=A.init_temporal_attention(d, rng),
-        pair_fusion=A.init_pair_fusion(),
-        reduction=B.init_reduction(c_cat, r1, r2, c_out, rng),
-    )
+def _params(c_out, d, seed=0):
+    """The temporal branch's weights of a model with C_out c_out and sketch dimension d."""
+    dims = M.ModelDims(frames=2, height=4, width=4, conv1_channels=1,
+                       out_channels=c_out, sketch_dim=d, n_classes=1)
+    return M.init_params(dims, seed).actf
 
 
 class TestLowLevelFeature:
@@ -334,16 +328,11 @@ class TestExtractActf:
 
 class TestReduction:
     def test_layer_widths(self):
-        rng = np.random.default_rng(11)
-        red = B.init_reduction(10, 5, 8, 4, rng)
-        assert red["w1"].data.shape == (10, 5)
-        assert red["w2"].data.shape == (5, 8)
-        assert red["w3"].data.shape == (8, 4)
+        # the fused (B, d + C_out) features reduce to (B, C_out)
+        red = _params(c_out=4, d=6).reduction
+        assert B.reduction(t(np.ones((3, 10))), red).data.shape == (3, 4)
 
     def test_zero_input_zero_biases(self):
-        rng = np.random.default_rng(12)
-        red = B.init_reduction(6, 3, 4, 2, rng)
-        for b in (red["b1"], red["b2"], red["b3"]):
-            b.data = np.zeros_like(b.data)
-        out = B.reduction(t(np.zeros((3, 6))), red)
+        # the biases start at zero, so a zero input reduces to zero
+        out = B.reduction(t(np.zeros((3, 6))), _params(c_out=2, d=4).reduction)
         np.testing.assert_allclose(out.data, np.zeros((3, 2)), atol=1e-15)

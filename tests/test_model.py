@@ -20,15 +20,18 @@ def tiny_dims(**kw):
     return M.ModelDims(**base)
 
 
+# The smallest legal model: 2 frames of 4x4, every width 1.
+SMALLEST = M.ModelDims(frames=2, height=4, width=4, conv1_channels=1,
+                       out_channels=1, sketch_dim=1, n_classes=1)
+
+
 def t(x, grad=False):
     return T.Tensor(np.asarray(x, dtype=np.float64), requires_grad=grad)
 
 
 class TestDims:
     def test_derived_widths(self):
-        d = tiny_dims()
-        assert d.concat_channels == 32 + 8
-        assert d.feature_spatial == (4, 4)
+        assert tiny_dims().feature_spatial == (4, 4)
 
     def test_spatial_must_divide(self):
         with pytest.raises(ConfigError):
@@ -47,9 +50,12 @@ class TestDims:
             tiny_dims(**{field: 2**31 + 4})
 
     def test_reduction_defaults(self):
-        d = tiny_dims()
-        assert d.r1 == (32 + 8) // 2
-        assert d.r2 == 2 * 8
+        # d + C_out tapers to (d + C_out) // 2, then 2 C_out, then C_out
+        for dims, widths in ((tiny_dims(), [(40, 20), (20, 16), (16, 8)]),
+                             (SMALLEST, [(2, 1), (1, 2), (2, 1)])):
+            shapes = M.param_shapes(dims, "full")
+            assert [shapes[f"reduction.w{i}"] for i in (1, 2, 3)] == widths
+            assert [shapes[f"reduction.b{i}"] for i in (1, 2, 3)] == [w[1:] for w in widths]
 
 
 class TestForward:
@@ -181,16 +187,24 @@ class TestVariants:
         b = M.forward(video, p).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
-    @pytest.mark.parametrize("variant", M.VARIANTS)
-    def test_trainable_set_is_what_forward_reaches(self, variant):
+    @pytest.mark.parametrize("variant, dims", [
+        pytest.param(v, dims, id=v + tag)
+        for tag, dims in (("", tiny_dims()), ("-smallest", SMALLEST)) for v in M.VARIANTS])
+    def test_trainable_set_is_what_forward_reaches(self, variant, dims):
         # the table of unreached groups agrees with `forward`: exactly the
-        # trainable tensors get a gradient from one taped step
-        p = M.init_params(tiny_dims(), 5, variant)
-        videos = t(np.random.default_rng(5).uniform(0.0, 1.0, (2, 4, 3, 16, 16)))
+        # trainable tensors get a gradient from one taped step, a finite one,
+        # down to the smallest legal model
+        p = M.init_params(dims, 5, variant)
+        videos = t(np.random.default_rng(5).uniform(
+            0.0, 1.0, (2, dims.frames, 3, dims.height, dims.width)))
         with T.Tape() as tape:
-            tape.backward(T.cross_entropy(M.forward(videos, p), [0, 2]))
+            logits = M.forward(videos, p)
+            tape.backward(T.cross_entropy(logits, [0, dims.n_classes - 1]))
+        assert np.isfinite(logits.data).all()
         reached = [name for name, x in M.named_tensors(p) if x.grad is not None]
-        assert [name for name, _, _ in M.trainable_parameters(p)] == reached
+        trainable = M.trainable_parameters(p)
+        assert [name for name, _, _ in trainable] == reached
+        assert all(np.isfinite(x.grad).all() for _, x, _ in trainable)
 
 
 class TestDecayFlags:
